@@ -1,7 +1,7 @@
 """Volume doubling toolkit for left-invariant metrics on SU(2) x R^n."""
 
-from .algebra import (AlgebraElement, AmbiguousLog, GroupElement, IDENTITY,
-                      SU2_BASIS, VOL0_SU2, bracket, exp_group, exp_su2,
+from .algebra import (AlgebraElement, GroupElement, IDENTITY, SU2_BASIS,
+                      VOL0_SU2, bracket, exp_group, exp_su2,
                       g0_distance_between, g0_inner, g0_norm, log_su2, mul,
                       quat_to_su2, reference_distance, su2_to_quat)
 from .metrics import (DecoupledMetric, InvalidParameters, MetricTensor,
@@ -27,7 +27,7 @@ from .balls import (DistanceBracket, OutOfRange, VolumeBracket, ball_volume,
                     word_upper_bound)
 
 __all__ = [
-    "AlgebraElement", "AmbiguousLog", "GroupElement", "IDENTITY",
+    "AlgebraElement", "GroupElement", "IDENTITY",
     "SU2_BASIS", "VOL0_SU2", "bracket", "exp_group", "exp_su2",
     "g0_distance_between", "g0_inner", "g0_norm", "log_su2", "mul",
     "quat_to_su2", "reference_distance", "su2_to_quat",

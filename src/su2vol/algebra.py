@@ -9,7 +9,8 @@ dot product, so the reference basis is g0-orthonormal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +23,7 @@ SU2_BASIS = (U1, U2, U3)
 CIRCLE = 4.0 * np.pi
 VOL0_SU2 = 16.0 * np.pi**2
 
-_RENORM_EVERY = 64
 _UNITARY_TOL = 1e-9
-
-
-class AmbiguousLog(Exception):
-    """Raised only on request; the default log flags -I instead."""
 
 
 def _as_coeffs(c) -> np.ndarray:
@@ -82,33 +78,6 @@ class AlgebraElement:
         return AlgebraElement(-self.coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    """Point of SU(2) x R^3: unit-determinant unitary plus a translation.
-
-    prods counts group multiplications since the last unitarity refresh;
-    mul() renormalizes every _RENORM_EVERY products to stop drift.
-    """
-
-    su2: np.ndarray
-    vec: np.ndarray
-    prods: int = field(default=0, compare=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.su2, dtype=complex)
-        v = np.asarray(self.vec, dtype=float)
-        if m.shape != (2, 2) or v.shape != (3,):
-            raise ValueError("GroupElement needs a 2x2 matrix and a 3-vector")
-        object.__setattr__(self, "su2", m)
-        object.__setattr__(self, "vec", v)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.su2.conj().T, -self.vec, self.prods)
-
-
-IDENTITY = GroupElement(np.eye(2, dtype=complex), np.zeros(3))
-
-
 def su2_to_quat(m: np.ndarray) -> np.ndarray:
     """Quaternion (w, x, y, z) of an SU(2) matrix; q_i = 2 u_i."""
     return np.array([
@@ -125,20 +94,73 @@ def quat_to_su2(q: np.ndarray) -> np.ndarray:
                      [y - 1j * x, w + 1j * z]])
 
 
+@dataclass(frozen=True, eq=False, init=False)
+class GroupElement:
+    """Point of SU(2) x R^3: unit quaternion q = (w, x, y, z) plus a
+    translation.
+
+    GroupElement(matrix, vec) converts a 2x2 matrix at the boundary; su2 is
+    the derived matrix view.  A matrix in the quaternion algebra has
+    m^H m = det m = |q|^2, so |q|^2 - 1 measures its distance from SU(2).
+    A part outside that algebra cannot be stored; its size is added to
+    that distance instead, so log_su2 still refuses such an element.
+    """
+
+    q: np.ndarray
+    vec: np.ndarray
+
+    def __init__(self, su2, vec):
+        m = np.asarray(su2, dtype=complex)
+        v = np.asarray(vec, dtype=float)
+        if m.shape != (2, 2) or v.shape != (3,):
+            raise ValueError("GroupElement needs a 2x2 matrix and a 3-vector")
+        q = su2_to_quat(m)
+        off = float(np.max(np.abs(m - quat_to_su2(q))))
+        n2 = float(q @ q)
+        if off > _UNITARY_TOL and n2 > 0.0:
+            q = q * math.sqrt((1.0 + abs(n2 - 1.0) + off) / n2)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "vec", v)
+
+    @classmethod
+    def from_quat(cls, q: np.ndarray, vec: np.ndarray) -> "GroupElement":
+        """Element with the given quaternion and translation, uncopied."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "q", q)
+        object.__setattr__(g, "vec", vec)
+        return g
+
+    @property
+    def su2(self) -> np.ndarray:
+        return quat_to_su2(self.q)
+
+    def inverse(self) -> "GroupElement":
+        w, x, y, z = self.q
+        return GroupElement.from_quat(np.array([w, -x, -y, -z]), -self.vec)
+
+
+IDENTITY = GroupElement.from_quat(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+
+
 def renormalize(g: GroupElement) -> GroupElement:
-    """Nearest SU(2) via quaternion normalization; resets the product count."""
-    q = su2_to_quat(g.su2)
-    n = np.linalg.norm(q)
+    """Nearest SU(2) element via quaternion normalization."""
+    n = np.linalg.norm(g.q)
     if n < 0.5:
         raise ValueError("matrix too far from SU(2) to renormalize")
-    return GroupElement(quat_to_su2(q / n), g.vec, 0)
+    return GroupElement.from_quat(g.q / n, g.vec)
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    out = GroupElement(a.su2 @ b.su2, a.vec + b.vec, max(a.prods, b.prods) + 1)
-    if out.prods >= _RENORM_EVERY:
-        out = renormalize(out)
-    return out
+    """Group product: Hamilton product of the quaternions, sum of the
+    translations.  Unit norm drifts by rounding only (about 1e-14 over
+    thousands of products), so no renormalization is needed."""
+    w1, x1, y1, z1 = a.q
+    w2, x2, y2, z2 = b.q
+    q = np.array([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                  w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                  w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                  w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2])
+    return GroupElement.from_quat(q, a.vec + b.vec)
 
 
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -147,29 +169,19 @@ def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                                      np.zeros(3))
 
 
-def exp_su2(x: np.ndarray) -> np.ndarray:
-    """Rodrigues exponential of x1 u1 + x2 u2 + x3 u3.
-
-    exp(A) = cos(rho) I + (sin(rho)/rho) A with rho = |x|/2.
-    """
-    x = np.asarray(x, dtype=float)
-    rho = 0.5 * np.linalg.norm(x)
-    a = x[0] * U1 + x[1] * U2 + x[2] * U3
-    if rho < 1e-12:
-        # sin(rho)/rho -> 1
-        return np.cos(rho) * np.eye(2) + a
-    return np.cos(rho) * np.eye(2) + (np.sin(rho) / rho) * a
-
-
 def exp_group(a: AlgebraElement) -> GroupElement:
-    return GroupElement(exp_su2(a.su2_coeffs), a.vec.copy())
+    """Rodrigues exponential: exp(x . u) = cos(rho) + (sin(rho)/rho) x/2
+    as a quaternion, with rho = |x|/2; the translation passes through."""
+    x = a.su2_coeffs
+    rho = 0.5 * float(np.linalg.norm(x))
+    k = 0.5 * math.sin(rho) / rho if rho > 0.0 else 0.5
+    q = np.array([math.cos(rho), k * x[0], k * x[1], k * x[2]])
+    return GroupElement.from_quat(q, a.vec.copy())
 
 
-def _check_near_su2(m: np.ndarray) -> None:
-    err = max(np.max(np.abs(m.conj().T @ m - np.eye(2))),
-              abs(np.linalg.det(m) - 1.0))
-    if err > _UNITARY_TOL:
-        raise ValueError(f"matrix is {err:.2e} from the SU(2) manifold")
+def exp_su2(x: np.ndarray) -> np.ndarray:
+    """exp(x1 u1 + x2 u2 + x3 u3) as a 2x2 matrix."""
+    return exp_group(AlgebraElement.from_parts(x, np.zeros(3))).su2
 
 
 def log_su2(g: GroupElement, with_flag: bool = False):
@@ -178,9 +190,11 @@ def log_su2(g: GroupElement, with_flag: bool = False):
     At su2 = -I the direction is undefined; the canonical choice 2 pi u3
     is returned, flagged when with_flag is set.
     """
-    _check_near_su2(g.su2)
-    q = su2_to_quat(g.su2)
-    q = q / np.linalg.norm(q)
+    n2 = float(g.q @ g.q)
+    if abs(n2 - 1.0) > _UNITARY_TOL:
+        raise ValueError(
+            f"matrix is {abs(n2 - 1.0):.2e} from the SU(2) manifold")
+    q = g.q / math.sqrt(n2)
     w, v = q[0], q[1:]
     s = np.linalg.norm(v)
     # atan2 keeps full precision near both poles, unlike arccos(w)
@@ -220,7 +234,7 @@ def reference_distance(g: GroupElement) -> float:
     theta in [0, 2 pi] is the rotation part's g0-norm; the factors combine
     as a metric product.
     """
-    w = su2_to_quat(g.su2)[0]
-    n = np.linalg.norm(su2_to_quat(g.su2))
+    w = g.q[0]
+    n = np.linalg.norm(g.q)
     theta = 2.0 * np.arccos(np.clip(w / n, -1.0, 1.0))
     return float(np.hypot(theta, np.linalg.norm(g.vec)))

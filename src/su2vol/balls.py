@@ -19,7 +19,8 @@ from scipy import optimize
 from .algebra import (AlgebraElement, GroupElement, exp_group,
                       g0_distance_between, mul, reference_distance)
 from .frames import (ControlPath, PathSegment, commutator_identity,
-                     euler_quat, path_length, word_factors, wrap_circle)
+                     euler_quat, path_length, segment_product, word_factors,
+                     wrap_circle)
 from .metrics import DecoupledMetric, canonicalize, from_parameters
 from .volumes import (EstimatorInputs, Hexagon, Side, containment_sets,
                       hexagon_area, hexagon_area_truncated, hexagon_contains,
@@ -122,15 +123,6 @@ def _factors_to_path(factors):
     return ControlPath(segments)
 
 
-def _path_endpoint(m: DecoupledMetric, path: ControlPath) -> GroupElement:
-    U = m.u_columns()
-    out = exp_group(AlgebraElement(np.zeros(6)))
-    for seg in path.segments:
-        coeffs = U @ seg.alpha + m.F @ (m.d * seg.alpha + seg.beta)
-        out = mul(out, exp_group(AlgebraElement(seg.duration * coeffs)))
-    return out
-
-
 def word_upper_bound(m: DecoupledMetric, axis: int, sigma: float,
                      r_hint: float, eta: float = 0.1) -> ControlPath:
     """Control path reaching e^{sigma u_axis} without direct rotations about
@@ -162,7 +154,8 @@ def word_upper_bound(m: DecoupledMetric, axis: int, sigma: float,
                                      part_c, caps)
     path = _factors_to_path(factors)
     target = exp_group(AlgebraElement(sigma * m.u_columns()[:, i]))
-    residual = g0_distance_between(_path_endpoint(m, path), target)
+    residual = g0_distance_between(segment_product(m, path.segments),
+                                   target)
     if residual > 1e-8:
         raise OutOfRange(f"word construction residual {residual:.3g}")
     return path
@@ -255,20 +248,10 @@ def _lambda_bounds(gram):
 def _frame_coordinates(m: DecoupledMetric, p: GroupElement):
     """(quaternion in frame axes, central f-coordinates) of p."""
     R = m.V[:3]
-    q = _su2_quat(p)
+    q = p.q / np.linalg.norm(p.q)
     q_frame = np.concatenate([[q[0]], R.T @ q[1:]])
     y_f = m.F[3:].T @ p.vec
     return q_frame, y_f
-
-
-def _su2_quat(p: GroupElement):
-    msu = p.su2
-    w = (0.5 * (msu[0, 0] + msu[1, 1])).real
-    qx = (0.5j * (msu[0, 1] + msu[1, 0])).real
-    qy = (0.5 * (msu[1, 0] - msu[0, 1])).real
-    qz = (0.5j * (msu[0, 0] - msu[1, 1])).real
-    q = np.array([w, qx, qy, qz])
-    return q / np.linalg.norm(q)
 
 
 def _log_branch_controls(m, p):
@@ -382,7 +365,7 @@ def _repair_segment(m, endpoint, p):
 
 
 def _repaired(m, path, p):
-    seg = _repair_segment(m, _path_endpoint(m, path), p)
+    seg = _repair_segment(m, segment_product(m, path.segments), p)
     if seg is None:
         return path
     return ControlPath(list(path.segments) + [seg])
@@ -433,21 +416,13 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
             best_path = fixed
 
     n_seg = 8
-    d = m.d
-    a = np.asarray(m.a, dtype=float)
-    U = m.u_columns()
-    F = m.F
 
     def objective(z):
-        ctr = z.reshape(n_seg, 6)
-        length = 0.0
-        out = exp_group(AlgebraElement(np.zeros(6)))
-        for row in ctr:
-            alpha, beta = row[:3], row[3:]
-            length += (1.0 / n_seg) * math.sqrt(
-                float(np.sum((a * alpha) ** 2) + np.sum(beta ** 2)))
-            coeffs = U @ alpha + F @ (d * alpha + beta)
-            out = mul(out, exp_group(AlgebraElement(coeffs / n_seg)))
+        rows = [(1.0 / n_seg, row[:3], row[3:])
+                for row in z.reshape(n_seg, 6)]
+        length = sum(dt * m.frame_norm(alpha, beta)
+                     for dt, alpha, beta in rows)
+        out = segment_product(m, rows)
         return length + pen * g0_distance_between(out, p)
 
     def as_path(z):
@@ -479,7 +454,8 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
                 best_cost = cost
                 best_path = fixed
 
-    mismatch = g0_distance_between(_path_endpoint(m, best_path), p)
+    mismatch = g0_distance_between(segment_product(m, best_path.segments),
+                                   p)
     if mismatch > 1e-6 * (1.0 + best_cost):
         raise RuntimeError(f"witness endpoint residual {mismatch:.3g}")
     lower = min(lower, best_cost)
@@ -718,15 +694,16 @@ _LOG_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 _D_GRID = (0.0, 1.0, 100.0, 10000.0)
 
 
-def default_sweep_grid():
-    """Ascending log-grid triples with tilt and radius values."""
+def default_sweep_grid(a_vals=_LOG_GRID, d_vals=_D_GRID, r_vals=_LOG_GRID):
+    """Ascending triples from a_vals crossed with tilts and radii; the
+    defaults give the 700-cell log grid."""
+    vals = tuple(sorted(set(a_vals)))
     cells = []
-    vals = _LOG_GRID
     for i1, a1 in enumerate(vals):
         for i2 in range(i1, len(vals)):
             for i3 in range(i2, len(vals)):
-                for d in _D_GRID:
-                    for r in vals:
+                for d in d_vals:
+                    for r in r_vals:
                         cells.append({"a": (a1, vals[i2], vals[i3]),
                                       "d": d, "r": r})
     return cells
@@ -745,7 +722,7 @@ def _word_spot_residual(a, d, r, eta):
     f, _ = commutator_identity(s, t)
     path = _factors_to_path(word_factors(s, t, (0, 1, 2)))
     target = exp_group(AlgebraElement(f * m.u_columns()[:, 2]))
-    return g0_distance_between(_path_endpoint(m, path), target)
+    return g0_distance_between(segment_product(m, path.segments), target)
 
 
 def _mdd_empirical(a, d, r, eta, iota, seed):

@@ -17,11 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import (AlgebraElement, IDENTITY, SU2_BASIS, bracket,
-                      exp_group, exp_su2, g0_distance_between, log_su2, mul)
+from .algebra import AlgebraElement, GroupElement, exp_group, log_su2, mul
 from .balls import ball_volume, default_sweep_grid, sweep
 from .frames import (CollisionClass, Coordinates, adjoint_rotate,
-                     commutator_identity, euler_quat, jacobian, psi,
+                     commutator_identity, jacobian, psi,
                      psi_collision_classify, word_group_element)
 from .metrics import (MetricTensor, NotSPD, canonicalize, decoupled_to_json,
                       from_parameters, reduce_to_decoupled)
@@ -36,7 +35,7 @@ class ConfigError(Exception):
 _FLOAT_KEYS = ("eta", "iota", "c_outer", "m_dd", "a1", "a2", "a3", "d", "r",
                "tol_word", "tol_adjoint", "tol_rodrigues", "tol_jacobian",
                "tol_collision")
-_INT_KEYS = ("seed", "samples", "budget")
+_INT_KEYS = ("seed", "samples")
 _STR_KEYS = ("format", "out")
 _LIST_KEYS = ("a_grid", "d_grid", "r_grid")
 
@@ -49,7 +48,6 @@ def default_config():
         "m_dd": 6.0,
         "seed": 0,
         "samples": 10000,
-        "budget": 2,
         "format": "csv",
         "out": ".",
         "a1": 1.0, "a2": 1.0, "a3": 1.0, "d": 0.0, "r": 0.1,
@@ -233,10 +231,11 @@ def _check_adjoint(rng):
         X = AlgebraElement(np.eye(6)[ix])
         Y = AlgebraElement(np.eye(6)[iy])
         predicted = adjoint_rotate(X, Y, s)
-        gy = exp_su2(s * Y.su2_coeffs)
-        conj = gy.conj().T @ X.su2_matrix() @ gy
+        gy = exp_group(s * Y)
+        x = GroupElement(X.su2_matrix(), np.zeros(3))
+        conj = mul(mul(gy.inverse(), x), gy)
         worst = max(worst, float(np.max(np.abs(
-            conj - predicted.su2_matrix()))))
+            conj.su2 - predicted.su2_matrix()))))
     return worst, 1000
 
 
@@ -244,12 +243,12 @@ def _check_rodrigues(rng):
     worst = 0.0
     for _ in range(1000):
         vec = rng.normal(size=3) * float(rng.uniform(0.0, 10.0))
-        full = exp_su2(vec)
-        half = exp_su2(0.5 * vec)
-        worst = max(worst, float(np.max(np.abs(full - half @ half))))
-        back = exp_su2(-vec)
+        full, half, back = (exp_group(AlgebraElement.from_parts(
+            c * vec, np.zeros(3))) for c in (1.0, 0.5, -1.0))
         worst = max(worst, float(np.max(np.abs(
-            full @ back - np.eye(2)))))
+            full.su2 - mul(half, half).su2))))
+        worst = max(worst, float(np.max(np.abs(
+            mul(full, back).su2 - np.eye(2)))))
     return worst, 1000
 
 
@@ -381,18 +380,9 @@ def _grid_cells(cfg):
     if cfg["a_grid"] is None and cfg["d_grid"] is None \
             and cfg["r_grid"] is None:
         return None
-    a_vals = tuple(sorted(set(cfg["a_grid"] or (cfg["a1"],))))
-    d_vals = cfg["d_grid"] or (cfg["d"],)
-    r_vals = cfg["r_grid"] or (cfg["r"],)
-    cells = []
-    for i1, a1 in enumerate(a_vals):
-        for i2 in range(i1, len(a_vals)):
-            for i3 in range(i2, len(a_vals)):
-                for d in d_vals:
-                    for r in r_vals:
-                        cells.append({"a": (a1, a_vals[i2], a_vals[i3]),
-                                      "d": d, "r": r})
-    return cells
+    return default_sweep_grid(cfg["a_grid"] or (cfg["a1"],),
+                              cfg["d_grid"] or (cfg["d"],),
+                              cfg["r_grid"] or (cfg["r"],))
 
 
 def cmd_estimate(cfg):

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    IDENTITY,
     AlgebraElement,
     GroupElement,
     bracket,
     exp_group,
     g0_distance_between,
     mul,
-    quat_to_su2,
 )
 from .metrics import DecoupledMetric
 
@@ -81,10 +81,8 @@ def euler_quat(x1, x2, x3):
 
 def psi(c: Coordinates) -> GroupElement:
     """Evaluate the chart in the reference basis."""
-    w, qx, qy, qz = euler_quat(c.x[0], c.x[1], c.x[2])
-    return GroupElement(su2=quat_to_su2((float(w), float(qx), float(qy),
-                                         float(qz))),
-                        vec=c.y.copy())
+    q = np.array(euler_quat(c.x[0], c.x[1], c.x[2]), dtype=float)
+    return GroupElement.from_quat(q, c.y.copy())
 
 
 def frame_chart(m: DecoupledMetric, c: Coordinates) -> GroupElement:
@@ -93,7 +91,7 @@ def frame_chart(m: DecoupledMetric, c: Coordinates) -> GroupElement:
     g = exp_group(AlgebraElement(c.x[2] * U[:, 2]))
     g = mul(g, exp_group(AlgebraElement(c.x[1] * U[:, 1])))
     g = mul(g, exp_group(AlgebraElement(c.x[0] * U[:, 0])))
-    return GroupElement(su2=g.su2, vec=g.vec + m.F[3:, :] @ c.y)
+    return GroupElement.from_quat(g.q, g.vec + m.F[3:, :] @ c.y)
 
 
 def jacobian(x2):
@@ -126,7 +124,7 @@ def psi_collision_classify(c1: Coordinates, c2: Coordinates,
     if dy <= tol:
         d_plus = g0_distance_between(g1, g2)
         d_minus = g0_distance_between(
-            g1, GroupElement(su2=-g2.su2, vec=g2.vec))
+            g1, GroupElement.from_quat(-g2.q, g2.vec))
         if min(d_plus, d_minus) <= tol:
             return CollisionClass.HALF_PI_BRANCH
     return CollisionClass.DISTINCT
@@ -186,7 +184,7 @@ def word_group_element(s: float, t: float, axes=(0, 1, 2),
         cols = [AlgebraElement(U[:, i]) for i in range(3)]
     else:
         cols = [AlgebraElement(np.eye(6)[i]) for i in range(3)]
-    out = exp_group(AlgebraElement.zero())
+    out = IDENTITY
     for axis, amount in word_factors(s, t, axes):
         out = mul(out, exp_group(amount * cols[axis]))
     return out
@@ -207,6 +205,10 @@ class PathSegment:
                            np.asarray(self.alpha, dtype=float).reshape(3))
         object.__setattr__(self, "beta",
                            np.asarray(self.beta, dtype=float).reshape(3))
+
+    def __iter__(self):
+        # unpacks as a (duration, alpha, beta) row for segment_product
+        return iter((self.duration, self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,7 @@ def mc_integrate(m: DecoupledMetric, p: ControlPath):
         length += seg.duration * m.frame_norm(seg.alpha, seg.beta)
     coords = Coordinates(np.array(x), y)
     endpoint = frame_chart(m, coords)
-    product = _product_endpoint(m, p)
+    product = segment_product(m, p.segments)
     mismatch = g0_distance_between(endpoint, product)
     if mismatch > 1e-8:
         raise IntegrationError(
@@ -305,12 +307,18 @@ def mc_integrate(m: DecoupledMetric, p: ControlPath):
     return endpoint, coords, length
 
 
-def _product_endpoint(m: DecoupledMetric, p: ControlPath) -> GroupElement:
-    U = m.u_columns()
-    out = exp_group(AlgebraElement.zero())
-    for seg in p.segments:
-        coeffs = U @ seg.alpha + m.F @ (m.d * seg.alpha + seg.beta)
-        out = mul(out, exp_group(AlgebraElement(seg.duration * coeffs)))
+def segment_product(m: DecoupledMetric, rows) -> GroupElement:
+    """Exact endpoint of piecewise-constant controls from the identity.
+
+    rows are (duration, alpha, beta) triples, PathSegments included; each
+    contributes the factor exp(duration * (sum alpha_i u_i
+    + sum (d alpha_i + beta_i) f_i)).
+    """
+    U, F, d = m.u_columns(), m.F, m.d
+    out = IDENTITY
+    for duration, alpha, beta in rows:
+        coeffs = U @ alpha + F @ (d * alpha + beta)
+        out = mul(out, exp_group(AlgebraElement(duration * coeffs)))
     return out
 
 

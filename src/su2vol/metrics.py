@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement
-
 _SYM_TOL = 1e-12
 
 
@@ -87,12 +85,6 @@ class DecoupledMetric:
 
     def u_columns(self) -> np.ndarray:
         return self.V - self.d * self.F
-
-    def v_elements(self) -> list[AlgebraElement]:
-        return [AlgebraElement(self.V[:, i]) for i in range(3)]
-
-    def f_elements(self) -> list[AlgebraElement]:
-        return [AlgebraElement(self.F[:, i]) for i in range(3)]
 
     def frame_norm(self, alpha: np.ndarray, beta: np.ndarray) -> float:
         """g-norm of sum(alpha_i v_i + beta_i f_i)."""
@@ -199,6 +191,8 @@ def from_parameters(a1: float, a2: float, a3: float, d: float,
     """
     a = np.array([a1, a2, a3], dtype=float)
     d = float(d)
+    if not np.all(np.isfinite(np.append(a, d))):
+        raise InvalidParameters(f"need finite parameters, got {a}, {d}")
     if not (0.0 < a[0] <= a[1] <= a[2]):
         raise InvalidParameters(f"need 0 < a1 <= a2 <= a3, got {a}")
     if d < 0.0:

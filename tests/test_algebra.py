@@ -118,6 +118,30 @@ def test_quaternion_round_trip():
         assert err < 1e-14
 
 
+def test_group_element_su2_round_trip():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        m = exp_su2(rng.normal(size=3) * 3.0)
+        g = GroupElement(m, np.zeros(3))
+        npt.assert_allclose(g.su2, m, atol=1e-15)
+        npt.assert_allclose(g.q @ g.q, 1.0, atol=1e-15)
+
+
+def test_log_rejects_matrix_off_su2():
+    bad = GroupElement(np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(3))
+    with pytest.raises(ValueError):
+        log_su2(bad)
+    with pytest.raises(ValueError):
+        log_su2(mul(bad, IDENTITY))
+    # a part outside the quaternion algebra (here a U(2) phase) counts too
+    phase = GroupElement(np.exp(1e-5j) * np.eye(2), np.zeros(3))
+    with pytest.raises(ValueError):
+        log_su2(phase)
+    # rounding-level deviations still pass
+    log_su2(GroupElement(exp_su2(np.array([0.3, -0.2, 0.9])) * (1.0 + 1e-12),
+                         np.zeros(3)))
+
+
 def test_mul_renormalizes_long_products():
     rng = np.random.default_rng(5)
     g = IDENTITY

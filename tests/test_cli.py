@@ -151,6 +151,11 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     rc = main(["estimate", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "eta" in capsys.readouterr().err
+    # budget was parsed but never used; it is now an unknown key
+    cfg = _write(tmp_path / "budget.cfg", "budget=2\n")
+    rc = main(["estimate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "unknown config key: budget" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

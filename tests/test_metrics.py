@@ -133,6 +133,11 @@ def test_invalid_parameters():
         from_parameters(3.0, 2.0, 1.0, 0.0)
     with pytest.raises(InvalidParameters):
         from_parameters(1.0, 1.0, 1.0, -0.5)
+    # non-finite input must not reach the eigensolver (LinAlgError)
+    for params in ((1.0, 1.0, 1.0, math.inf), (1.0, 1.0, 1.0, math.nan),
+                   (1.0, 1.0, math.inf, 0.0), (math.nan, 1.0, 1.0, 0.0)):
+        with pytest.raises(InvalidParameters):
+            from_parameters(*params)
 
 
 def test_canonicalize_sorts_ascending():
