@@ -214,6 +214,25 @@ def log_su2(g: GroupElement, with_flag: bool = False):
     return out
 
 
+_E3 = np.array([0.0, 0.0, 1.0])
+
+
+def angle_axis(q):
+    """(theta, unit axis) of quaternions q = (w, x, y, z), vectorized over
+    leading axes: q = |q| (cos(theta/2), sin(theta/2) axis), theta in
+    [0, 2 pi] the g0-norm of the rotation.  The axis is e3 where the
+    vector part vanishes."""
+    q = np.asarray(q, dtype=float)
+    v = q[..., 1:]
+    s = np.linalg.norm(v, axis=-1)
+    # atan2 keeps full precision near both poles, unlike arccos(w)
+    theta = 2.0 * np.arctan2(s, q[..., 0])
+    moves = s > 1e-30
+    axis = np.where(moves[..., None],
+                    v / np.where(moves, s, 1.0)[..., None], _E3)
+    return theta, axis
+
+
 def g0_inner(a: AlgebraElement, b: AlgebraElement) -> float:
     # -2 tr(u u') + Euclidean dot reduces to the coefficient dot product.
     return float(a.coeffs @ b.coeffs)
@@ -234,7 +253,5 @@ def reference_distance(g: GroupElement) -> float:
     theta in [0, 2 pi] is the rotation part's g0-norm; the factors combine
     as a metric product.
     """
-    w = g.q[0]
-    n = np.linalg.norm(g.q)
-    theta = 2.0 * np.arccos(np.clip(w / n, -1.0, 1.0))
+    theta, _ = angle_axis(g.q)
     return float(np.hypot(theta, np.linalg.norm(g.vec)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .algebra import (AlgebraElement, GroupElement, exp_group,
+from .algebra import (AlgebraElement, GroupElement, angle_axis, exp_group,
                       g0_distance_between, mul, reference_distance)
 from .frames import (ControlPath, PathSegment, commutator_identity,
                      euler_quat, path_length, segment_product, word_factors,
@@ -203,12 +203,7 @@ def _certified_bounds(a, d, xs, ys):
     """
     a = np.asarray(a, dtype=float)
     x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
-    w, qx, qy, qz = euler_quat(x1, x2, x3)
-    theta = 2.0 * np.arccos(np.clip(w, -1.0, 1.0))
-    svec = np.stack([qx, qy, qz], axis=1)
-    sn = np.linalg.norm(svec, axis=1)
-    axis_hat = np.where(sn[:, None] > 1e-30, svec / np.where(sn > 1e-30, sn, 1.0)[:, None],
-                        np.array([0.0, 0.0, 1.0]))
+    theta, axis_hat = angle_axis(np.stack(euler_quat(x1, x2, x3), axis=1))
     y_norm = np.linalg.norm(ys, axis=1)
     ref = np.hypot(theta, y_norm)
 
@@ -254,27 +249,25 @@ def _frame_coordinates(m: DecoupledMetric, p: GroupElement):
     return q_frame, y_f
 
 
-def _log_branch_controls(m, p):
+def _log_branches(m, p):
+    """Rotation angle theta of p and the straight-log controls
+    (alpha, beta) of its two branches, theta and theta - 4 pi."""
     q, y_f = _frame_coordinates(m, p)
-    theta = 2.0 * math.acos(min(1.0, max(-1.0, q[0])))
-    sn = np.linalg.norm(q[1:])
-    axis_hat = q[1:] / sn if sn > 1e-30 else np.array([0.0, 0.0, 1.0])
-    out = []
+    theta, axis_hat = angle_axis(q)
+    branches = []
     for ang in (theta, theta - FOUR_PI):
         alpha = ang * axis_hat
-        beta = y_f - m.d * alpha
-        out.append((alpha, beta))
-    return out
+        branches.append((alpha, y_f - m.d * alpha))
+    return theta, branches
 
 
-def _controls_to_path(controls):
-    segments = []
-    for alpha, beta in controls:
-        if np.linalg.norm(alpha) + np.linalg.norm(beta) < 1e-300:
-            continue
-        segments.append(PathSegment(1.0, np.asarray(alpha, float),
-                                    np.asarray(beta, float)))
-    return ControlPath(segments)
+def _controls_path(rows):
+    """ControlPath of (duration, alpha, beta) rows; rows that do not move
+    are skipped."""
+    return ControlPath([PathSegment(dt, np.array(alpha, dtype=float),
+                                    np.array(beta, dtype=float))
+                        for dt, alpha, beta in rows
+                        if np.any(alpha) or np.any(beta)])
 
 
 def _euler_extract(q):
@@ -348,27 +341,12 @@ def _word_factors_free(a, i, phi):
     return best
 
 
-def _repair_segment(m, endpoint, p):
-    """Straight-log correction segment from endpoint to p, or None."""
-    gap = mul(endpoint.inverse(), p)
-    q, y_f = _frame_coordinates(m, gap)
-    theta = 2.0 * math.acos(min(1.0, max(-1.0, q[0])))
-    if theta > math.pi:
-        theta -= FOUR_PI
-    sn = np.linalg.norm(q[1:])
-    axis_hat = q[1:] / sn if sn > 1e-30 else np.array([0.0, 0.0, 1.0])
-    alpha = theta * axis_hat
-    beta = y_f - m.d * alpha
-    if np.linalg.norm(alpha) + np.linalg.norm(beta) < 1e-300:
-        return None
-    return PathSegment(1.0, alpha, beta)
-
-
 def _repaired(m, path, p):
-    seg = _repair_segment(m, segment_product(m, path.segments), p)
-    if seg is None:
-        return path
-    return ControlPath(list(path.segments) + [seg])
+    """path closed by the shorter straight-log segment to p."""
+    gap = mul(segment_product(m, path.segments).inverse(), p)
+    theta, branches = _log_branches(m, gap)
+    alpha, beta = branches[int(theta > math.pi)]
+    return _controls_path(list(path.segments) + [(1.0, alpha, beta)])
 
 
 def _resample_controls(path, n_seg):
@@ -401,10 +379,12 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
     lam_lo, lam_hi = _lambda_bounds(m.gram)
     ref = reference_distance(p)
     lower = lam_lo * ref
-    if ref < 1e-14:
+    if ref == 0.0:
         return DistanceBracket(0.0, 0.0, ControlPath([]))
 
-    candidates = [_controls_to_path([c]) for c in _log_branch_controls(m, p)]
+    _, branches = _log_branches(m, p)
+    candidates = [_controls_path([(1.0, alpha, beta)])
+                  for alpha, beta in branches]
     candidates += _coordinate_candidates(m, p)
     best_path = None
     best_cost = np.inf
@@ -425,16 +405,6 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
         out = segment_product(m, rows)
         return length + pen * g0_distance_between(out, p)
 
-    def as_path(z):
-        ctr = z.reshape(n_seg, 6)
-        segs = []
-        for row in ctr:
-            if np.linalg.norm(row) < 1e-300:
-                continue
-            segs.append(PathSegment(1.0 / n_seg, row[:3].copy(),
-                                    row[3:].copy()))
-        return ControlPath(segs)
-
     pen = 10.0 * lam_hi + 10.0
     starts = [_resample_controls(c, n_seg) for c in candidates[:5]]
     states = list(starts)
@@ -448,7 +418,9 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
             except Exception:
                 continue
             states[si] = res.x
-            fixed = _repaired(m, as_path(res.x), p)
+            fixed = _repaired(m, _controls_path(
+                (1.0 / n_seg, row[:3], row[3:])
+                for row in res.x.reshape(n_seg, 6)), p)
             cost = path_length(m, fixed)
             if cost < best_cost:
                 best_cost = cost
@@ -563,7 +535,6 @@ def _accumulate(weights, in_mask, amb_mask):
 
 def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
                 seed: int = 0, eta: float = 0.1,
-                iota: float = math.pi / 4,
                 c_outer: float = 8.0) -> VolumeBracket:
     """Conservative Monte Carlo bracket of the reference-measure ball volume.
 
@@ -575,6 +546,10 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     around the identity is certified inside the ball outright, which keeps
     the lower bound positive.  Classification is by vectorized certified
     bounds, so ambiguous samples widen the bracket and never corrupt it.
+
+    Two strata share one loop: a quarter of the samples in the core box,
+    the rest in the outer region or the torus; every sample is weighted by
+    the mixture density of both.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -596,83 +571,73 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
         if max(h.x_half_width for h in plus) <= EXTENT_CAP:
             hex_mode = True
 
+    # sheets: the chart sheets the sampled region covers, one where the
+    # chart is injective on it, all eight over the full torus
+    if hex_mode:
+        mode, sheets = "hexagon", _SHEETS[:1]
+        std = _outer_hexes(inp, rho, c_outer)
+        areas_plus = np.array([hexagon_area(h) for h in plus])
+
+        def draw_rest(take):
+            return _hex_product_sample(plus, take, rng)
+
+        def rest_density(xs, ys, jac):
+            return _hex_product_density(plus, areas_plus, xs, ys)
+    else:
+        mode, sheets = "fallback", _SHEETS
+        half = linear_upper(inp)
+        vol_box = float(np.prod(2.0 * half))
+
+        def draw_rest(take):
+            x2 = _sample_cos_density(take, rng)
+            x1 = rng.uniform(-TWO_PI, TWO_PI, take)
+            x3 = rng.uniform(-TWO_PI, TWO_PI, take)
+            return (np.stack([x1, x2, x3], axis=1),
+                    rng.uniform(-half, half, (take, 3)))
+
+        def rest_density(xs, ys, jac):
+            return (jac / 8.0) * (1.0 / FOUR_PI) ** 2 / vol_box
+    mult = len(sheets)
+
+    def draw_core(take):
+        xs, ys = _box_sample(bx, bu, d, take, rng)
+        sheet_idx = rng.integers(0, mult, take)
+        for si, (shift, refl) in enumerate(sheets):
+            picked = sheet_idx == si
+            if picked.any():
+                xs[picked] = _sheet_apply(xs[picked], shift, refl)
+        return xs, ys
+
+    def core_density(xs, ys):
+        return sum(_box_density(bx, bu, d, _sheet_invert(xs, shift, refl), ys)
+                   for shift, refl in sheets)
+
+    n_core = n // 4
+    n_rest = n - n_core
     chunk = 1 << 17
     totals = np.zeros(6)
     leak = 0
-
-    if hex_mode:
-        mode = "hexagon"
-        std = _outer_hexes(inp, rho, c_outer)
-        areas_plus = np.array([hexagon_area(h) for h in plus])
-        n_a = n // 4
-        n_b = n - n_a
-        plan = [("core", n_a), ("outer", n_b)]
-        for kind, count in plan:
-            done = 0
-            while done < count:
-                take = min(chunk, count - done)
-                done += take
-                if kind == "core":
-                    xs, ys = _box_sample(bx, bu, d, take, rng)
-                else:
-                    xs, ys = _hex_product_sample(plus, take, rng)
-                dens = ((n_b / n) * _hex_product_density(plus, areas_plus,
-                                                         xs, ys)
-                        + (n_a / n) * _box_density(bx, bu, d, xs, ys))
-                ref, low_m, upper = _certified_bounds(a, d, xs, ys)
-                low = np.maximum(lam_lo * ref, low_m)
-                in_mask = upper <= r
-                amb_mask = (~in_mask) & (low <= r)
-                jac = np.abs(np.cos(xs[:, 1]))
-                weights = jac / (dens * n)
-                totals += _accumulate(weights, in_mask, amb_mask)
-                if in_mask.any():
-                    member = np.ones(take, dtype=bool)
-                    for i, h in enumerate(std):
-                        member &= np.asarray(
-                            hexagon_contains(h, xs[:, i], ys[:, i]))
-                    leak += int(np.count_nonzero(in_mask & ~member))
-        if leak:
-            flags.append("containment_ring_hits")
-    else:
-        mode = "fallback"
-        half = linear_upper(inp)
-        vol_box = float(np.prod(2.0 * half))
-        n_a = n // 4
-        n_t = n - n_a
-        plan = [("core", n_a), ("torus", n_t)]
-        for kind, count in plan:
-            done = 0
-            while done < count:
-                take = min(chunk, count - done)
-                done += take
-                if kind == "core":
-                    xs, ys = _box_sample(bx, bu, d, take, rng)
-                    sheet_idx = rng.integers(0, 8, take)
-                    for si, (shift, refl) in enumerate(_SHEETS):
-                        picked = sheet_idx == si
-                        if picked.any():
-                            xs[picked] = _sheet_apply(xs[picked], shift, refl)
-                else:
-                    x2 = _sample_cos_density(take, rng)
-                    x1 = rng.uniform(-TWO_PI, TWO_PI, take)
-                    x3 = rng.uniform(-TWO_PI, TWO_PI, take)
-                    xs = np.stack([x1, x2, x3], axis=1)
-                    ys = rng.uniform(-half, half, (take, 3))
-                jac = np.abs(np.cos(xs[:, 1]))
-                dens_t = (jac / 8.0) * (1.0 / FOUR_PI) ** 2 / vol_box
-                dens = (n_t / n) * dens_t
-                dens_a = np.zeros(take)
-                for shift, refl in _SHEETS:
-                    back = _sheet_invert(xs, shift, refl)
-                    dens_a += _box_density(bx, bu, d, back, ys)
-                dens = dens + (n_a / n) * dens_a / 8.0
-                ref, low_m, upper = _certified_bounds(a, d, xs, ys)
-                low = np.maximum(lam_lo * ref, low_m)
-                in_mask = upper <= r
-                amb_mask = (~in_mask) & (low <= r)
-                weights = jac / (dens * n) / 8.0
-                totals += _accumulate(weights, in_mask, amb_mask)
+    for draw, count in ((draw_core, n_core), (draw_rest, n_rest)):
+        for start in range(0, count, chunk):
+            take = min(chunk, count - start)
+            xs, ys = draw(take)
+            jac = np.abs(np.cos(xs[:, 1]))
+            dens = ((n_rest / n) * rest_density(xs, ys, jac)
+                    + (n_core / n) * core_density(xs, ys) / mult)
+            ref, low_m, upper = _certified_bounds(a, d, xs, ys)
+            low = np.maximum(lam_lo * ref, low_m)
+            in_mask = upper <= r
+            amb_mask = (~in_mask) & (low <= r)
+            weights = jac / (dens * n) / mult
+            totals += _accumulate(weights, in_mask, amb_mask)
+            if hex_mode and in_mask.any():
+                member = np.ones(take, dtype=bool)
+                for i, h in enumerate(std):
+                    member &= np.asarray(
+                        hexagon_contains(h, xs[:, i], ys[:, i]))
+                leak += int(np.count_nonzero(in_mask & ~member))
+    if leak:
+        flags.append("containment_ring_hits")
 
     _, s_in, s2_in, s_up, s2_up, s_amb = totals
     # s_* are sums of per-sample contributions v_s that already carry 1/n,
@@ -690,6 +655,15 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
 
 # -- sweep -------------------------------------------------------------------
 
+# one report row per cell, in this column order
+SWEEP_COLUMNS = (
+    "idx", "a1", "a2", "a3", "d", "r", "samples", "mode_r", "mode_2r",
+    "vbar_r", "vbar_2r", "vbar_ratio", "calc_bound",
+    "lower_r", "upper_r", "ambig_r", "lower_2r", "upper_2r", "ambig_2r",
+    "ratio_low_r", "ratio_high_r", "ratio_low_2r", "ratio_high_2r",
+    "doubling_ratio", "word_mprime", "word_residual", "mdd_emp",
+    "inner_mass", "outer_mass", "flags",
+)
 _LOG_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 _D_GRID = (0.0, 1.0, 100.0, 10000.0)
 
@@ -779,10 +753,9 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
             vb_r = vbar_g(inp_r)
             vb_2r = vbar_g(inp_2r)
             vol_r = ball_volume(m, r, samples, _seed_from(seed, idx, 0),
-                                eta, iota, c_outer)
+                                eta, c_outer)
             vol_2r = ball_volume(m, 2.0 * r, samples,
-                                 _seed_from(seed, idx, 1), eta, iota,
-                                 c_outer)
+                                 _seed_from(seed, idx, 1), eta, c_outer)
             flags.extend(f"r:{f}" for f in vol_r.flags)
             flags.extend(f"2r:{f}" for f in vol_2r.flags)
             if vol_r.lower > vol_r.upper or vol_2r.lower > vol_2r.upper:
@@ -837,15 +810,9 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
                 n_ambig_flagged += 1
         except Exception as exc:
             flags.append(f"error:{type(exc).__name__}")
-            for key in ("mode_r", "mode_2r"):
-                row[key] = ""
-            for key in ("vbar_r", "vbar_2r", "vbar_ratio", "calc_bound",
-                        "lower_r", "upper_r", "ambig_r", "lower_2r",
-                        "upper_2r", "ambig_2r", "ratio_low_r",
-                        "ratio_high_r", "ratio_low_2r", "ratio_high_2r",
-                        "doubling_ratio", "word_mprime", "word_residual",
-                        "mdd_emp", "inner_mass", "outer_mass"):
-                row[key] = float("nan")
+            for key in SWEEP_COLUMNS:
+                if key not in row:
+                    row[key] = "" if key.startswith("mode_") else float("nan")
         row["flags"] = ";".join(flags)
         rows.append(row)
     c_emp = min(ratio_low) if ratio_low else float("nan")

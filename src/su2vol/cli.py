@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraElement, GroupElement, exp_group, log_su2, mul
-from .balls import ball_volume, default_sweep_grid, sweep
+from .balls import SWEEP_COLUMNS, ball_volume, default_sweep_grid, sweep
 from .frames import (CollisionClass, Coordinates, adjoint_rotate,
                      commutator_identity, jacobian, psi,
                      psi_collision_classify, word_group_element)
@@ -420,7 +420,7 @@ def cmd_ball_volume(cfg):
     a_sorted = tuple(sorted((cfg["a1"], cfg["a2"], cfg["a3"])))
     metric = from_parameters(a_sorted[0], a_sorted[1], a_sorted[2], cfg["d"])
     vb = ball_volume(metric, cfg["r"], cfg["samples"], cfg["seed"],
-                     cfg["eta"], cfg["iota"], cfg["c_outer"])
+                     cfg["eta"], cfg["c_outer"])
     row = {
         "a1": a_sorted[0], "a2": a_sorted[1], "a3": a_sorted[2],
         "d": cfg["d"], "r": cfg["r"],
@@ -439,16 +439,6 @@ def cmd_ball_volume(cfg):
 
 # -- sweep -------------------------------------------------------------------
 
-_SWEEP_HEADER = [
-    "idx", "a1", "a2", "a3", "d", "r", "samples", "mode_r", "mode_2r",
-    "vbar_r", "vbar_2r", "vbar_ratio", "calc_bound",
-    "lower_r", "upper_r", "ambig_r", "lower_2r", "upper_2r", "ambig_2r",
-    "ratio_low_r", "ratio_high_r", "ratio_low_2r", "ratio_high_2r",
-    "doubling_ratio", "word_mprime", "word_residual", "mdd_emp",
-    "inner_mass", "outer_mass", "flags",
-]
-
-
 def cmd_sweep(cfg):
     t0 = time.time()
     grid = _grid_cells(cfg)
@@ -459,7 +449,7 @@ def cmd_sweep(cfg):
                    c_outer=cfg["c_outer"], m_dd=cfg["m_dd"])
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "sweep_report.csv", cfg, _SWEEP_HEADER,
+    _write_csv(out_dir / "sweep_report.csv", cfg, SWEEP_COLUMNS,
                report["rows"])
     if cfg["format"] == "json":
         _write_json(out_dir / "sweep_report.json", cfg,

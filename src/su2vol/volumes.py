@@ -349,7 +349,7 @@ class Side:
 
 
 def containment_sets(inp: EstimatorInputs, side: str,
-                     c_outer: float = 8.0, iota: float = math.pi / 4):
+                     c_outer: float = 8.0):
     """Per-axis hexagons whose product brackets the ball in chart coordinates.
 
     Inner: H_iota(rho_i, r/a_i, r) with the x-window flag set; the image

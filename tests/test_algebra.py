@@ -6,8 +6,9 @@ import pytest
 
 from su2vol.algebra import (
     CIRCLE, IDENTITY, VOL0_SU2, AlgebraElement, GroupElement, U1, U2, U3,
-    bracket, exp_group, exp_su2, g0_distance_between, g0_inner, g0_norm,
-    log_su2, mul, quat_to_su2, reference_distance, renormalize, su2_to_quat,
+    angle_axis, bracket, exp_group, exp_su2, g0_distance_between, g0_inner,
+    g0_norm, log_su2, mul, quat_to_su2, reference_distance, renormalize,
+    su2_to_quat,
 )
 from oracles import series_expm
 
@@ -179,3 +180,22 @@ def test_reference_distance_hypot():
     g = exp_group(AlgebraElement.from_parts(
         np.array([0.6, 0.0, 0.0]), np.array([0.8, 0.0, 0.0])))
     assert reference_distance(g) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_reference_distance_resolves_small_rotations():
+    # an arccos of w rounds rotations below about 2e-8 to 0
+    for eps in (1e-8, 2e-8, 3e-8):
+        g = exp_group(_alg([eps, 0.0, 0.0]))
+        assert reference_distance(g) == pytest.approx(eps, rel=1e-12)
+
+
+def test_angle_axis_vectorized_with_identity_fallback():
+    qs = np.stack([IDENTITY.q, exp_group(_alg([0.0, 0.0, -1.5])).q,
+                   -IDENTITY.q])
+    theta, axis = angle_axis(qs)
+    npt.assert_allclose(theta, [0.0, 1.5, 2.0 * math.pi], rtol=1e-15)
+    npt.assert_array_equal(axis[0], [0.0, 0.0, 1.0])
+    npt.assert_allclose(axis[1], [0.0, 0.0, -1.0], rtol=1e-15)
+    one_theta, one_axis = angle_axis(qs[1])
+    assert one_theta == theta[1]
+    npt.assert_array_equal(one_axis, axis[1])

@@ -5,13 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from su2vol.algebra import (
-    AlgebraElement, GroupElement, exp_group, mul,
+    AlgebraElement, GroupElement, exp_group, g0_distance_between, mul,
 )
 from su2vol.balls import (
-    OutOfRange, ball_volume, distance_bracket, default_sweep_grid, sweep,
-    word_upper_bound,
+    SWEEP_COLUMNS, OutOfRange, ball_volume, distance_bracket,
+    default_sweep_grid, sweep, word_upper_bound,
 )
-from su2vol.frames import path_length
+from su2vol.frames import path_length, segment_product
 from su2vol.metrics import from_parameters
 from su2vol.volumes import (
     EstimatorInputs, Side, containment_sets, hexagon_area,
@@ -98,6 +98,17 @@ def test_distance_identity():
                                           np.zeros(3)))
     assert db.lower == 0.0 and db.upper == 0.0
     assert db.witness.segments == []
+
+
+def test_distance_tiny_rotation_is_not_identity():
+    # only the exact identity gets the empty [0, 0] bracket
+    p = exp_group(AlgebraElement(1e-8 * np.eye(6)[0]))
+    for m in (from_parameters(1.0, 1.0, 1.0, 0.0),
+              from_parameters(0.01, 1.0, 100.0, 1e4)):
+        db = distance_bracket(m, p)
+        assert 0.0 < db.lower <= db.upper
+        end = segment_product(m, db.witness.segments)
+        assert g0_distance_between(end, p) <= 1e-6 * (1.0 + db.upper)
 
 
 def test_distance_pure_translation():
@@ -266,6 +277,8 @@ def test_sweep_error_rows_do_not_abort():
     assert math.isnan(rows[1]["vbar_r"])
     # the clean cell still produced numbers
     assert rows[0]["upper_r"] > 0.0
+    for row in rows:
+        assert list(row) == list(SWEEP_COLUMNS)
 
 
 def test_sweep_deterministic():
