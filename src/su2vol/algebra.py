@@ -196,18 +196,16 @@ def log_su2(g: GroupElement, with_flag: bool = False):
             f"matrix is {abs(n2 - 1.0):.2e} from the SU(2) manifold")
     q = g.q / math.sqrt(n2)
     w, v = q[0], q[1:]
-    s = np.linalg.norm(v)
-    # atan2 keeps full precision near both poles, unlike arccos(w)
-    rho = np.arctan2(s, w)
+    theta, axis = angle_axis(q)
     ambiguous = False
-    if s < 1e-12:
+    if np.linalg.norm(v) < 1e-12:
         if w > 0.0:
             x = 2.0 * v  # essentially zero
         else:
             x = np.array([0.0, 0.0, 2.0 * np.pi])
             ambiguous = True
     else:
-        x = (2.0 * rho / s) * v
+        x = theta * axis
     out = AlgebraElement.from_parts(x, g.vec.copy())
     if with_flag:
         return out, ambiguous

@@ -399,7 +399,7 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
 
     def objective(z):
         rows = [(1.0 / n_seg, row[:3], row[3:])
-                for row in z.reshape(n_seg, 6)]
+                for row in z.reshape(n_seg, 6).tolist()]
         length = sum(dt * m.frame_norm(alpha, beta)
                      for dt, alpha, beta in rows)
         out = segment_product(m, rows)
@@ -688,9 +688,8 @@ def _seed_from(master, *key):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _word_spot_residual(a, d, r, eta):
-    m = from_parameters(a[0], a[1], a[2], d)
-    caps = np.minimum(r / np.asarray(a), eta)
+def _word_spot_residual(m, r, eta):
+    caps = np.minimum(r / m.a, eta)
     s = 0.9 * min(caps[0], math.pi)
     t = 0.9 * min(caps[1], 0.5 * math.pi)
     f, _ = commutator_identity(s, t)
@@ -766,7 +765,7 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
                 mprime = path_length(m, wpath) / r
             except OutOfRange:
                 mprime = float("nan")
-            wres = _word_spot_residual(a, d, r, eta)
+            wres = _word_spot_residual(m, r, eta)
             mdd_emp = _mdd_empirical(a, d, r, eta, iota,
                                      _seed_from(seed, idx, 2))
             inner_hexes, _ = containment_sets(inp_r, Side.INNER)

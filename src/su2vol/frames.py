@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    IDENTITY,
     AlgebraElement,
     GroupElement,
     bracket,
@@ -29,7 +28,7 @@ from .algebra import (
     g0_distance_between,
     mul,
 )
-from .metrics import DecoupledMetric
+from .metrics import DecoupledMetric, from_parameters
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,23 +170,21 @@ def word_group_element(s: float, t: float, axes=(0, 1, 2),
                        m: DecoupledMetric | None = None) -> GroupElement:
     """Evaluate the commutator word as an exact group product.
 
-    With use_v, each factor exp(amount*u_axis) becomes exp(amount*v_axis)
-    for the metric's v_i = u_i + d f_i; the central contributions cancel
-    since the word's net amount per axis is zero.
+    Each factor exp(amount*u_axis) is a segment of duration amount: with
+    controls alpha = e_axis, beta = -d e_axis it moves along the metric's
+    u_axis (the reference u_axis without a metric).  With use_v, beta = 0
+    and the factor becomes exp(amount*v_axis) for v_i = u_i + d f_i; the
+    central contributions cancel since the word's net amount per axis is
+    zero.
     """
-    if use_v:
-        if m is None:
-            raise ValueError("v-variant needs a metric")
-        cols = [AlgebraElement(m.V[:, i]) for i in range(3)]
-    elif m is not None:
-        U = m.u_columns()
-        cols = [AlgebraElement(U[:, i]) for i in range(3)]
-    else:
-        cols = [AlgebraElement(np.eye(6)[i]) for i in range(3)]
-    out = IDENTITY
-    for axis, amount in word_factors(s, t, axes):
-        out = mul(out, exp_group(amount * cols[axis]))
-    return out
+    if use_v and m is None:
+        raise ValueError("v-variant needs a metric")
+    if m is None:
+        m = from_parameters(1.0, 1.0, 1.0, 0.0)
+    basis = np.eye(3)
+    shift = 0.0 if use_v else -m.d
+    return segment_product(m, [(amount, basis[axis], shift * basis[axis])
+                               for axis, amount in word_factors(s, t, axes)])
 
 
 # -- Maurer-Cartan ODE ------------------------------------------------------
@@ -207,8 +204,9 @@ class PathSegment:
                            np.asarray(self.beta, dtype=float).reshape(3))
 
     def __iter__(self):
-        # unpacks as a (duration, alpha, beta) row for segment_product
-        return iter((self.duration, self.alpha, self.beta))
+        # unpacks as a (duration, alpha, beta) row of floats, the form
+        # segment_product and frame_norm run fastest on
+        return iter((self.duration, self.alpha.tolist(), self.beta.tolist()))
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,6 @@ def mc_integrate(m: DecoupledMetric, p: ControlPath):
     total = sum(s.duration for s in p.segments)
     x = (0.0, 0.0, 0.0)
     y = np.zeros(3)
-    length = 0.0
     d = m.d
     for seg in p.segments:
         n_steps = max(1, math.ceil(seg.duration / (1e-3 * total)))
@@ -296,7 +293,6 @@ def mc_integrate(m: DecoupledMetric, p: ControlPath):
             x_coarse = x_fine
         x = x_fine
         y = y + seg.duration * (d * seg.alpha + seg.beta)
-        length += seg.duration * m.frame_norm(seg.alpha, seg.beta)
     coords = Coordinates(np.array(x), y)
     endpoint = frame_chart(m, coords)
     product = segment_product(m, p.segments)
@@ -304,7 +300,7 @@ def mc_integrate(m: DecoupledMetric, p: ControlPath):
     if mismatch > 1e-8:
         raise IntegrationError(
             f"integrated endpoint off the group product by {mismatch:.3e}")
-    return endpoint, coords, length
+    return endpoint, coords, path_length(m, p)
 
 
 def segment_product(m: DecoupledMetric, rows) -> GroupElement:
@@ -312,16 +308,36 @@ def segment_product(m: DecoupledMetric, rows) -> GroupElement:
 
     rows are (duration, alpha, beta) triples, PathSegments included; each
     contributes the factor exp(duration * (sum alpha_i u_i
-    + sum (d alpha_i + beta_i) f_i)).
+    + sum (d alpha_i + beta_i) f_i)).  The loop runs on Python floats:
+    the same Rodrigues exponential and Hamilton product as exp_group and
+    mul, without building an element per factor.  Non-finite
+    coefficients raise ValueError, as AlgebraElement does.
     """
-    U, F, d = m.u_columns(), m.F, m.d
-    out = IDENTITY
-    for duration, alpha, beta in rows:
-        coeffs = U @ alpha + F @ (d * alpha + beta)
-        out = mul(out, exp_group(AlgebraElement(duration * coeffs)))
-    return out
+    d = m.d
+    # one (u row, f row) per reference coefficient
+    UF = [(*u, *f) for u, f in zip(m.u_columns().tolist(), m.F.tolist())]
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
+    t1 = t2 = t3 = 0.0
+    for duration, (a1, a2, a3), (b1, b2, b3) in rows:
+        g1, g2, g3 = d * a1 + b1, d * a2 + b2, d * a3 + b3
+        c1, c2, c3, c4, c5, c6 = [
+            duration * ((u1 * a1 + u2 * a2 + u3 * a3)
+                        + (f1 * g1 + f2 * g2 + f3 * g3))
+            for u1, u2, u3, f1, f2, f3 in UF]
+        rho = 0.5 * math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
+        k = 0.5 * math.sin(rho) / rho if rho > 0.0 else 0.5
+        w2, x2, y2, z2 = math.cos(rho), k * c1, k * c2, k * c3
+        w, x, y, z = (w * w2 - x * x2 - y * y2 - z * z2,
+                      w * x2 + x * w2 + y * z2 - z * y2,
+                      w * y2 - x * z2 + y * w2 + z * x2,
+                      w * z2 + x * y2 - y * x2 + z * w2)
+        t1, t2, t3 = t1 + c4, t2 + c5, t3 + c6
+    if not math.isfinite(w + x + y + z + t1 + t2 + t3):
+        raise ValueError("non-finite coefficients")
+    return GroupElement.from_quat(np.array([w, x, y, z]),
+                                  np.array([t1, t2, t3]))
 
 
 def path_length(m: DecoupledMetric, p: ControlPath) -> float:
-    return sum(s.duration * m.frame_norm(s.alpha, s.beta)
-               for s in p.segments)
+    return sum(dt * m.frame_norm(alpha, beta)
+               for dt, alpha, beta in p.segments)

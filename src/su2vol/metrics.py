@@ -10,6 +10,7 @@ vectors, and a_i the length of v_i.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,12 @@ class DecoupledMetric:
 
     def frame_norm(self, alpha: np.ndarray, beta: np.ndarray) -> float:
         """g-norm of sum(alpha_i v_i + beta_i f_i)."""
-        return float(np.sqrt(np.sum((self.a * np.asarray(alpha)) ** 2)
-                             + np.sum(np.asarray(beta) ** 2)))
+        a1, a2, a3 = self.a.tolist()
+        al1, al2, al3 = alpha
+        b1, b2, b3 = beta
+        s1, s2, s3 = a1 * al1, a2 * al2, a3 * al3
+        return math.sqrt((s1 * s1 + s2 * s2 + s3 * s3)
+                         + (b1 * b1 + b2 * b2 + b3 * b3))
 
     def invariant_residuals(self) -> dict:
         """Max violations of the decoupled-basis contract, for diagnostics."""

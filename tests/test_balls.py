@@ -12,7 +12,7 @@ from su2vol.balls import (
     default_sweep_grid, sweep, word_upper_bound,
 )
 from su2vol.frames import path_length, segment_product
-from su2vol.metrics import from_parameters
+from su2vol.metrics import MetricTensor, from_parameters, reduce_to_decoupled
 from su2vol.volumes import (
     EstimatorInputs, Side, containment_sets, hexagon_area,
     hexagon_area_truncated, m_rho,
@@ -22,13 +22,15 @@ from oracles import ball_volume_isotropic
 WORD_TOL = 1e-10
 
 
-def _endpoint(m, path):
-    """Exact product of segment exponentials in the metric's frame."""
+def _endpoint(m, rows):
+    """Exact product of segment exponentials in the metric's frame: one
+    exp_group and one mul per (duration, alpha, beta) row."""
     U = m.u_columns()
     out = exp_group(AlgebraElement.zero())
-    for seg in path.segments:
-        coeffs = U @ seg.alpha + m.F @ (m.d * seg.alpha + seg.beta)
-        out = mul(out, exp_group(AlgebraElement(seg.duration * coeffs)))
+    for duration, alpha, beta in rows:
+        alpha, beta = np.asarray(alpha), np.asarray(beta)
+        coeffs = U @ alpha + m.F @ (m.d * alpha + beta)
+        out = mul(out, exp_group(AlgebraElement(duration * coeffs)))
     return out
 
 
@@ -54,7 +56,7 @@ def test_word_reaches_target_at_full_budget():
                 for sgn in (1.0, -1.0):
                     sigma = sgn * rho[axis]
                     path = word_upper_bound(m, axis, sigma, r)
-                    got = _endpoint(m, path)
+                    got = _endpoint(m, path.segments)
                     target = np.zeros(6)
                     target[axis] = sigma
                     want = exp_group(AlgebraElement(target))
@@ -69,7 +71,7 @@ def test_word_partial_budget_and_sign():
     for frac in (0.1, 0.7):
         sigma = -frac * rho[1]
         path = word_upper_bound(m, 1, sigma, 0.1)
-        got = _endpoint(m, path)
+        got = _endpoint(m, path.segments)
         want = exp_group(AlgebraElement(sigma * np.eye(6)[1]))
         assert np.max(np.abs(got.su2 - want.su2)) < WORD_TOL
         assert np.max(np.abs(got.vec)) < WORD_TOL
@@ -90,6 +92,64 @@ def test_word_length_scales_with_radius():
         path = word_upper_bound(m, 2, rho[2], r)
         mprime = path_length(m, path) / r
         assert mprime < 100.0
+
+
+def _random_rows(rng, n):
+    # durations of either sign, 1e-6 to 5 in size: word amounts go negative
+    size = 10.0 ** rng.uniform(-6.0, math.log10(5.0), n)
+    sign = rng.choice([-1.0, 1.0], n)
+    return [(float(dt), rng.normal(size=3), rng.normal(size=3))
+            for dt in sign * size]
+
+
+def test_segment_product_matches_exp_mul_chain():
+    rng = np.random.default_rng(52)
+    a = rng.normal(size=(6, 6))
+    rotated = reduce_to_decoupled(MetricTensor(a @ a.T / 32.0 + np.eye(6)))
+    for m in (from_parameters(0.01, 1.0, 100.0, 1e4), rotated):
+        for n in (1, 2, 8, 40):
+            for _ in range(25):
+                rows = _random_rows(rng, n)
+                want = _endpoint(m, rows)
+                for form in (rows, [(dt, al.tolist(), be.tolist())
+                                    for dt, al, be in rows]):
+                    got = segment_product(m, form)
+                    npt.assert_allclose(got.q, want.q, rtol=0.0, atol=1e-13)
+                    npt.assert_allclose(got.vec, want.vec, rtol=1e-13,
+                                        atol=1e-13)
+    assert segment_product(rotated, []).q.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_segment_product_rejects_overflowing_rows():
+    # the same failures as exp_group(AlgebraElement(...)): math.sin(inf) for
+    # a rotation whose norm overflows, a ValueError for non-finite
+    # coefficients, so Powell's objective still fails where it failed
+    m = from_parameters(0.01, 1.0, 100.0, 1e4)
+    zero = [0.0, 0.0, 0.0]
+    good = (0.5, [0.1, 0.2, 0.3], [1.0, 0.0, -1.0])
+    for bad in ((1.0, [1e300, 0.0, 0.0], zero),
+                (10.0, zero, [1e308, 0.0, 0.0]),
+                (1.0, [1e305, 0.0, 0.0], zero),
+                (1.0, zero, [math.nan, 0.0, 0.0]),
+                (math.inf, [1.0, 0.0, 0.0], zero)):
+        for rows in ([bad], [good, bad, good]):
+            with pytest.raises(ValueError), np.errstate(all="ignore"):
+                _endpoint(m, rows)
+            with pytest.raises(ValueError):
+                segment_product(m, rows)
+
+
+def test_frame_norm_matches_numpy_formula():
+    rng = np.random.default_rng(53)
+    for m in (from_parameters(0.01, 1.0, 100.0, 1e4),
+              from_parameters(0.5, 1.3, 2.0, 0.7)):
+        for _ in range(300):
+            alpha = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 3.0)
+            beta = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 3.0)
+            want = float(np.sqrt(np.sum((m.a * alpha) ** 2)
+                                 + np.sum(beta ** 2)))
+            for al, be in ((alpha, beta), (alpha.tolist(), beta.tolist())):
+                assert m.frame_norm(al, be) == pytest.approx(want, rel=1e-15)
 
 
 def test_distance_identity():
@@ -141,7 +201,7 @@ def test_distance_witness_reaches_point():
         p = exp_group(AlgebraElement(rng.normal(size=6) * 0.8))
         db = distance_bracket(m, p)
         assert db.lower <= db.upper
-        got = _endpoint(m, db.witness)
+        got = _endpoint(m, db.witness.segments)
         assert np.max(np.abs(got.su2 - p.su2)) < 1e-7
         assert np.max(np.abs(got.vec - p.vec)) < 1e-7
         # the witness length is what the upper bound reports
