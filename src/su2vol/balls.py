@@ -1,12 +1,12 @@
 """Certified distance brackets, constructive word paths, Monte Carlo ball
 volumes for the reference measure, and the sweep harness.
 
-Distances are certified two-sided: the lower bound is the spectral
-comparison with the bi-invariant metric, every upper bound is the exact
-length of an explicitly constructed control path.  Ball volumes classify
-stratified samples through vectorized versions of the same bounds, so the
-reported bracket is conservative by construction; ambiguous samples only
-ever widen it.
+Distances are certified two-sided: the lower bound is the speed floor of
+the rotation and translation a path must cover, every upper bound is the
+exact length of an explicitly constructed control path.  Ball volumes
+classify stratified samples through vectorized versions of the same
+bounds, so the reported bracket is conservative by construction;
+ambiguous samples only ever widen it.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from scipy import optimize
 
 from .algebra import (AlgebraElement, GroupElement, angle_axis, exp_group,
-                      g0_distance_between, mul, reference_distance)
+                      g0_distance_between, mul)
 from .frames import (ControlPath, PathSegment, commutator_identity,
                      euler_quat, path_length, segment_product, word_factors,
                      wrap_circle)
@@ -192,25 +192,38 @@ def _minimal_angle_rep(x):
     return np.where(np.abs(x) <= np.abs(alt), x, alt)
 
 
+def _speed_floor(a_min, d, theta, y_norm):
+    """Certified lower bound on the distance to rotation angle theta and
+    central norm y_norm (arrays or scalars, d >= 0).  Speed is at least
+    sqrt(a_min^2 |alpha|^2 + |beta|^2); a path needs total rotation
+    Phi >= theta and pure-central control B >= |y| - d Phi, so it costs at
+    least min over Phi >= theta of hypot(a_min Phi, max(0, |y| - d Phi)),
+    a convex function of Phi."""
+    phi_hat = np.maximum(theta, d * y_norm / (a_min ** 2 + d ** 2))
+    slack = np.maximum(0.0, y_norm - d * phi_hat)
+    return np.hypot(a_min * phi_hat, slack)
+
+
+def _lambda_max(a, d):
+    """Square root of the decoupled Gram's top eigenvalue, that of its 2x2
+    block [[a^2 + d^2, -d], [-d, 1]] at the largest a."""
+    s = a * a + d * d + 1.0
+    return math.sqrt(0.5 * (s + math.sqrt((s - 2.0 * a) * (s + 2.0 * a))))
+
+
 def _certified_bounds(a, d, xs, ys):
-    """(reference distance, lower bound, upper bound) per sample.
+    """(lower bound, upper bound) per sample.
 
     xs are chart angles in the metric's own frame, ys central coordinates
-    in the orthonormal f-frame; both (n, 3).  The lower bound integrates
-    the speed floor sqrt(a_min^2 |alpha|^2 + |beta|^2): any path needs
-    total rotation Phi >= theta, and translation slack |y| - d Phi, so
-    cost >= min over Phi >= theta of the two-block norm (convex in Phi).
+    in the orthonormal f-frame; both (n, 3).  The lower bound is the speed
+    floor; the upper bounds are lengths of straight-log and chart-ordered
+    paths.
     """
     a = np.asarray(a, dtype=float)
     x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
     theta, axis_hat = angle_axis(np.stack(euler_quat(x1, x2, x3), axis=1))
     y_norm = np.linalg.norm(ys, axis=1)
-    ref = np.hypot(theta, y_norm)
-
-    a_min = float(np.min(a))
-    phi_hat = np.maximum(theta, d * y_norm / (a_min ** 2 + d ** 2))
-    slack = np.maximum(0.0, y_norm - d * phi_hat)
-    lower = np.hypot(a_min * phi_hat, slack)
+    lower = _speed_floor(float(np.min(a)), d, theta, y_norm)
 
     upper = np.full(xs.shape[0], np.inf)
     for branch in (theta, theta - FOUR_PI):
@@ -230,12 +243,7 @@ def _certified_bounds(a, d, xs, ys):
         drift = d * nu * sel[None, :]
         trans = np.linalg.norm(ys - drift, axis=1)
         upper = np.minimum(upper, rot_cost + trans)
-    return ref, lower, upper
-
-
-def _lambda_bounds(gram):
-    vals = np.linalg.eigvalsh(gram)
-    return math.sqrt(max(vals[0], 0.0)), math.sqrt(max(vals[-1], 0.0))
+    return lower, upper
 
 
 # -- distance bracket --------------------------------------------------------
@@ -250,15 +258,16 @@ def _frame_coordinates(m: DecoupledMetric, p: GroupElement):
 
 
 def _log_branches(m, p):
-    """Rotation angle theta of p and the straight-log controls
-    (alpha, beta) of its two branches, theta and theta - 4 pi."""
+    """Rotation angle theta and central norm |y_f| of p, and the
+    straight-log controls (alpha, beta) of its two branches, theta and
+    theta - 4 pi."""
     q, y_f = _frame_coordinates(m, p)
     theta, axis_hat = angle_axis(q)
     branches = []
     for ang in (theta, theta - FOUR_PI):
         alpha = ang * axis_hat
         branches.append((alpha, y_f - m.d * alpha))
-    return theta, branches
+    return theta, float(np.linalg.norm(y_f)), branches
 
 
 def _controls_path(rows):
@@ -285,32 +294,28 @@ def _coordinate_candidates(m, p):
     q, y_f = _frame_coordinates(m, p)
     x = _euler_extract(q)
     nu = _minimal_angle_rep(wrap_circle(x))
+    words = [_word_factors_free(a, axis, nu[axis]) for axis in range(3)]
     out = []
     for mask in range(8):
         segments = []
         drift = np.zeros(3)
-        ok = True
         for axis in (2, 1, 0):
             ang = nu[axis]
             if ang == 0.0:
                 continue
             if (mask >> axis) & 1:
-                alpha = np.zeros(3)
-                alpha[axis] = math.copysign(1.0, ang)
-                segments.append(PathSegment(abs(ang), alpha, np.zeros(3)))
+                factors = [(axis, ang)]
                 drift[axis] += m.d * ang
             else:
-                factors = _word_factors_free(a, axis, ang)
+                factors = words[axis]
                 if factors is None:
-                    ok = False
                     break
-                segments.extend(_factors_to_path(factors).segments)
-        if not ok:
-            continue
-        beta = y_f - drift
-        if np.linalg.norm(beta) > 0.0:
-            segments.append(PathSegment(1.0, np.zeros(3), beta))
-        out.append(ControlPath(segments))
+            segments.extend(_factors_to_path(factors).segments)
+        else:
+            beta = y_f - drift
+            if np.linalg.norm(beta) > 0.0:
+                segments.append(PathSegment(1.0, np.zeros(3), beta))
+            out.append(ControlPath(segments))
     return out
 
 
@@ -344,7 +349,7 @@ def _word_factors_free(a, i, phi):
 def _repaired(m, path, p):
     """path closed by the shorter straight-log segment to p."""
     gap = mul(segment_product(m, path.segments).inverse(), p)
-    theta, branches = _log_branches(m, gap)
+    theta, _, branches = _log_branches(m, gap)
     alpha, beta = branches[int(theta > math.pi)]
     return _controls_path(list(path.segments) + [(1.0, alpha, beta)])
 
@@ -370,19 +375,16 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
                      budget: int = 2) -> DistanceBracket:
     """Certified two-sided distance estimate from the identity to p.
 
-    The lower bound is the spectral comparison with the reference metric;
-    upper bounds come from explicit paths (straight logs, chart-ordered
+    The lower bound is the speed floor of p's rotation angle and central
+    norm; upper bounds come from explicit paths (straight logs, chart-ordered
     rotations with optional word substitutions, then budget rounds of
     Powell refinement over 8-segment controls).  Each refined path gets a
     closing log-correction segment, so every witness reaches p exactly.
     """
-    lam_lo, lam_hi = _lambda_bounds(m.gram)
-    ref = reference_distance(p)
-    lower = lam_lo * ref
-    if ref == 0.0:
+    theta, y_norm, branches = _log_branches(m, p)
+    if theta == 0.0 and y_norm == 0.0:
         return DistanceBracket(0.0, 0.0, ControlPath([]))
-
-    _, branches = _log_branches(m, p)
+    lower = float(_speed_floor(float(np.min(m.a)), abs(m.d), theta, y_norm))
     candidates = [_controls_path([(1.0, alpha, beta)])
                   for alpha, beta in branches]
     candidates += _coordinate_candidates(m, p)
@@ -405,7 +407,7 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
         out = segment_product(m, rows)
         return length + pen * g0_distance_between(out, p)
 
-    pen = 10.0 * lam_hi + 10.0
+    pen = 10.0 * _lambda_max(float(np.max(m.a)), m.d) + 10.0
     starts = [_resample_controls(c, n_seg) for c in candidates[:5]]
     states = list(starts)
     for _ in range(max(0, int(budget))):
@@ -556,7 +558,6 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     mc = canonicalize(m)
     a = np.asarray(mc.a, dtype=float)
     d = mc.d
-    lam_lo, _ = _lambda_bounds(mc.gram)
     inp = EstimatorInputs(r, tuple(a), d, eta)
     _, rho = m_rho(inp)
     flags = []
@@ -624,8 +625,7 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
             jac = np.abs(np.cos(xs[:, 1]))
             dens = ((n_rest / n) * rest_density(xs, ys, jac)
                     + (n_core / n) * core_density(xs, ys) / mult)
-            ref, low_m, upper = _certified_bounds(a, d, xs, ys)
-            low = np.maximum(lam_lo * ref, low_m)
+            low, upper = _certified_bounds(a, d, xs, ys)
             in_mask = upper <= r
             amb_mask = (~in_mask) & (low <= r)
             weights = jac / (dens * n) / mult
@@ -715,7 +715,7 @@ def _mdd_empirical(a, d, r, eta, iota, seed):
             break
     if xs.shape[0] == 0:
         return float("nan")
-    _, _, upper = _certified_bounds(np.asarray(a, float), d, xs[:64], ys[:64])
+    _, upper = _certified_bounds(np.asarray(a, float), d, xs[:64], ys[:64])
     return float(np.max(upper) / r)
 
 

@@ -144,7 +144,10 @@ def _fmt(value):
 
 
 def _config_for_report(cfg):
-    return {k: cfg[k] for k in sorted(cfg) if cfg[k] is not None}
+    """Effective config without the output directory, a deployment path,
+    so reports do not depend on where they are written."""
+    return {k: cfg[k] for k in sorted(cfg)
+            if cfg[k] is not None and k != "out"}
 
 
 def _write_csv(path, cfg, header, rows):

@@ -54,35 +54,40 @@ class MetricTensor:
     def center_dim(self) -> int:
         return self.gram.shape[0] - 3
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.asarray(a) @ self.gram @ np.asarray(b))
-
 
 @dataclass(frozen=True)
 class DecoupledMetric:
     """Decoupled metric on su(2) + R^3 with its adapted basis.
 
     Columns of V are the v_i = u_i + d f_i, columns of F the central
-    orthonormal f_i, both as reference-basis coefficient vectors; gram is
-    the 6x6 Gram for which {v_i / a_i, f_i} is orthonormal.
+    orthonormal f_i, both as reference-basis coefficient vectors.  The
+    6x6 Gram for which {v_i / a_i, f_i} is orthonormal is derived from
+    them; it is positive definite exactly when every a_i is positive, so
+    no eigensolver runs when a metric is built.
     """
 
-    gram: np.ndarray
     V: np.ndarray
     F: np.ndarray
     a: np.ndarray
     d: float
 
     def __post_init__(self):
-        object.__setattr__(self, "gram", _check_spd(self.gram))
         object.__setattr__(self, "V", np.asarray(self.V, dtype=float))
         object.__setattr__(self, "F", np.asarray(self.F, dtype=float))
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "d", float(self.d))
+        # SPD test; in floats a_i^2 must not vanish nor a_i^2 + d^2 overflow
+        d = self.d
+        if not all(x > 0.0 and x * x > 0.0 and math.isfinite(x * x + d * d)
+                   for x in self.a.tolist()):
+            raise InvalidParameters(f"need finite a_i > 0, got {self.a}, {d}")
 
     @property
-    def params(self) -> tuple[float, float, float, float]:
-        return (float(self.a[0]), float(self.a[1]), float(self.a[2]), self.d)
+    def gram(self) -> np.ndarray:
+        R, C, d = self.V[:3], self.F[3:], self.d
+        A2 = R @ np.diag(self.a**2) @ R.T
+        return np.block([[A2 + d * d * np.eye(3), -d * R @ C.T],
+                         [-d * C @ R.T, np.eye(3)]])
 
     def u_columns(self) -> np.ndarray:
         return self.V - self.d * self.F
@@ -205,11 +210,7 @@ def from_parameters(a1: float, a2: float, a3: float, d: float,
     R = np.eye(3) if rotation is None else np.asarray(rotation, dtype=float)
     V = np.vstack([R, d * np.eye(3)])
     F = np.vstack([np.zeros((3, 3)), np.eye(3)])
-    # gram makes the frame {v_i / a_i, f_i} orthonormal
-    A2 = R @ np.diag(a**2) @ R.T
-    gram = np.block([[A2 + d * d * np.eye(3), -d * R],
-                     [-d * R.T, np.eye(3)]])
-    return DecoupledMetric(gram=gram, V=V, F=F, a=a, d=d)
+    return DecoupledMetric(V=V, F=F, a=a, d=d)
 
 
 def reduce_to_decoupled(g: MetricTensor) -> DecoupledMetric:
@@ -233,9 +234,6 @@ def reduce_to_decoupled(g: MetricTensor) -> DecoupledMetric:
     return from_parameters(a[0], a[1], a[2], d, rotation=R)
 
 
-_CYCLE = np.array([1, 2, 0])
-
-
 def canonicalize(m: DecoupledMetric) -> DecoupledMetric:
     """Sort a ascending and flip d >= 0 by relabeling the adapted basis.
 
@@ -244,24 +242,15 @@ def canonicalize(m: DecoupledMetric) -> DecoupledMetric:
     untouched.
     """
     order = np.argsort(m.a, kind="stable")
-    sign = 1.0
-    # parity of the sorting permutation
-    perm = list(order)
-    swaps = 0
-    for i in range(3):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            swaps += 1
-    if swaps % 2 == 1:
-        sign = -1.0  # odd relabelings negate the whole triple
+    # relabelings other than cyclic shifts are odd and negate the triple
+    sign = 1.0 if tuple(order) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
     V = sign * m.V[:, order]
     F = sign * m.F[:, order]
     d = m.d
     if d < 0.0:
         F = -F
         d = -d
-    return DecoupledMetric(gram=m.gram, V=V, F=F, a=m.a[order], d=d)
+    return DecoupledMetric(V=V, F=F, a=m.a[order], d=d)
 
 
 # -- serialization ----------------------------------------------------------

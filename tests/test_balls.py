@@ -6,9 +6,10 @@ import pytest
 
 from su2vol.algebra import (
     AlgebraElement, GroupElement, exp_group, g0_distance_between, mul,
+    reference_distance,
 )
 from su2vol.balls import (
-    SWEEP_COLUMNS, OutOfRange, ball_volume, distance_bracket,
+    SWEEP_COLUMNS, OutOfRange, _lambda_max, ball_volume, distance_bracket,
     default_sweep_grid, sweep, word_upper_bound,
 )
 from su2vol.frames import path_length, segment_product
@@ -172,14 +173,14 @@ def test_distance_tiny_rotation_is_not_identity():
 
 
 def test_distance_pure_translation():
-    # d = 0 decouples, so the true distance is exactly |y|; the published
-    # lower bound is the spectral floor min(1, a1) |y|
+    # d = 0 decouples, so the true distance is exactly |y|, and the speed
+    # floor reaches it: no rotation, all the cost is central
     m = from_parameters(0.5, 1.0, 2.0, 0.0)
     y = np.array([1.2, -0.3, 0.4])
     p = GroupElement(np.eye(2, dtype=complex), y)
     db = distance_bracket(m, p)
     norm = float(np.linalg.norm(y))
-    assert db.lower == pytest.approx(0.5 * norm, rel=1e-9)
+    assert db.lower == pytest.approx(norm, rel=1e-9)
     assert db.upper == pytest.approx(norm, rel=1e-6)
     assert db.lower <= norm <= db.upper * (1.0 + 1e-12)
 
@@ -216,6 +217,46 @@ def test_distance_budget_monotone():
     uppers = [distance_bracket(m, p, budget=b).upper for b in (0, 1, 3)]
     assert uppers[1] <= uppers[0] * (1.0 + 1e-12)
     assert uppers[2] <= uppers[1] * (1.0 + 1e-12)
+
+
+def test_lambda_max_closed_form_matches_eigensolver():
+    # per axis the derived Gram is the 2x2 block [[a^2 + d^2, -d], [-d, 1]]
+    rng = np.random.default_rng(54)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rot *= np.linalg.det(rot)
+    for a, d in [((0.1, 0.5, 2.0), 0.0), ((1.0, 1.0, 1.0), 1.0),
+                 ((0.3, 1.0, 10.0), 3.0), ((0.5, 0.5, 0.5), 10.0),
+                 ((2.0, 3.0, 5.0), 0.7)]:
+        for rotation in (None, rot):
+            m = from_parameters(*a, d, rotation=rotation)
+            want = math.sqrt(np.linalg.eigvalsh(m.gram)[-1])
+            assert _lambda_max(max(a), d) == pytest.approx(want, rel=1e-12)
+    assert _lambda_max(1.0, 1.0) == (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def test_extreme_tilt_metrics_build_and_bracket():
+    # an explicit 6x6 Gram loses its smallest eigenvalue to cancellation
+    # at these tilts; the metric builds and brackets stay two-sided
+    p = exp_group(AlgebraElement(
+        0.8 * np.random.default_rng(55).normal(size=6)))
+    for params in ((0.01, 0.01, 0.01, 1e7), (1.0, 1.0, 1.0, 1e8)):
+        m = from_parameters(*params)
+        for b in (distance_bracket(m, p, budget=0),
+                  ball_volume(m, 0.1, n=4000, seed=3)):
+            assert math.isfinite(b.upper)
+            assert 0.0 < b.lower <= b.upper
+
+
+def test_distance_lower_dominates_spectral_comparison():
+    # the speed floor is at least lambda_min times the reference distance
+    rng = np.random.default_rng(56)
+    for _ in range(16):
+        A = rng.normal(size=(6, 6))
+        m = reduce_to_decoupled(MetricTensor(A @ A.T / 32.0 + np.eye(6)))
+        p = exp_group(AlgebraElement(0.8 * rng.normal(size=6)))
+        lam_min = math.sqrt(np.linalg.eigvalsh(m.gram)[0])
+        db = distance_bracket(m, p, budget=0)
+        assert db.lower >= lam_min * reference_distance(p) * (1.0 - 1e-12)
 
 
 def test_ball_brackets_exact_isotropic_volume():

@@ -135,6 +135,17 @@ def test_sweep_small_and_byte_identical(tmp_path):
     assert doc["summary"]["doubling_ok"] is True
 
 
+def test_sweep_reports_do_not_depend_on_output_directory(tmp_path):
+    cfg = _write(tmp_path / "s.cfg",
+                 "a_grid=1.0\nd_grid=0.0\nr_grid=0.1\nsamples=2000\n")
+    dirs = [tmp_path / "first", tmp_path / "second" / "nested"]
+    for out_dir in dirs:
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 0
+    for name in ("sweep_report.csv", "sweep_summary.json"):
+        assert ((dirs[0] / name).read_bytes()
+                == (dirs[1] / name).read_bytes())
+
+
 def test_sweep_json_format_adds_report(tmp_path):
     cfg = _write(tmp_path / "s.cfg",
                  "a_grid=1.0\nd_grid=0.0\nr_grid=0.1\nsamples=1500\n"

@@ -143,14 +143,50 @@ def test_invalid_parameters():
 def test_canonicalize_sorts_ascending():
     m = from_parameters(1.0, 2.0, 3.0, 0.5)
     cyc = [2, 0, 1]
-    scrambled = DecoupledMetric(gram=m.gram, V=m.V[:, cyc], F=m.F[:, cyc],
-                                a=m.a[cyc], d=m.d)
+    scrambled = DecoupledMetric(V=m.V[:, cyc], F=m.F[:, cyc], a=m.a[cyc],
+                                d=m.d)
     dec = canonicalize(scrambled)
     npt.assert_allclose(dec.a, [1.0, 2.0, 3.0], atol=0.0)
     assert max(dec.invariant_residuals().values()) < 1e-12
     # canonical form is a fixed point
     again = canonicalize(dec)
     npt.assert_allclose(again.V, dec.V, atol=0.0)
+
+
+def test_canonicalize_undoes_signed_transpositions():
+    # an odd relabeling of a valid frame carries a sign flip
+    m = from_parameters(1.0, 2.0, 3.0, 0.5)
+    for perm in ([1, 0, 2], [0, 2, 1], [2, 1, 0]):
+        swapped = DecoupledMetric(V=-m.V[:, perm], F=-m.F[:, perm],
+                                  a=m.a[perm], d=m.d)
+        dec = canonicalize(swapped)
+        npt.assert_allclose(dec.V, m.V, atol=0.0)
+        npt.assert_allclose(dec.F, m.F, atol=0.0)
+
+
+def test_gram_is_derived_from_the_frame():
+    # relabeling the frame and flipping the sign of d leave the metric,
+    # and so the derived Gram, unchanged
+    rng = np.random.default_rng(15)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rot *= np.linalg.det(rot)
+    m = from_parameters(1.0, 2.0, 3.0, 0.5, rotation=rot)
+    cyc = [2, 0, 1]
+    flipped = DecoupledMetric(V=m.V[:, cyc], F=-m.F[:, cyc], a=m.a[cyc],
+                              d=-m.d)
+    npt.assert_allclose(flipped.gram, m.gram, atol=1e-14)
+    npt.assert_allclose(canonicalize(flipped).gram, m.gram, atol=1e-14)
+    assert max(canonicalize(flipped).invariant_residuals().values()) < 1e-12
+
+
+def test_decoupled_metric_rejects_degenerate_parameters():
+    m = from_parameters(1.0, 2.0, 3.0, 0.5)
+    for a, d in (((0.0, 1.0, 1.0), 0.0), ((-1.0, 1.0, 1.0), 0.0),
+                 ((math.nan, 1.0, 1.0), 0.0), ((1.0, 1.0, 1.0), math.inf),
+                 ((1.0, 1.0, 1.0), math.nan), ((1e-170, 1.0, 1.0), 0.0),
+                 ((1.0, 1.0, 1e160), 0.0), ((1.0, 1.0, 1.0), 1e160)):
+        with pytest.raises(InvalidParameters):
+            DecoupledMetric(V=m.V, F=m.F, a=a, d=d)
 
 
 def test_metric_json_round_trip():
