@@ -241,8 +241,21 @@ def g0_norm(a: AlgebraElement) -> float:
 
 
 def g0_distance_between(a: GroupElement, b: GroupElement) -> float:
-    """Bi-invariant distance between two group elements."""
-    return reference_distance(mul(a.inverse(), b))
+    """Bi-invariant distance between two group elements, that of a^-1 b
+    from the identity, on Python floats: the Hamilton product of a.q's
+    conjugate with b.q in mul's term order, theta = 2 atan2(|v|, w) as in
+    angle_axis, then the hypot of theta and the translation gap.  It
+    agrees with reference_distance(mul(a.inverse(), b)) to rounding."""
+    w1, x1, y1, z1 = a.q.tolist()
+    w2, x2, y2, z2 = b.q.tolist()
+    w = w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
+    x = w1 * x2 - x1 * w2 - y1 * z2 + z1 * y2
+    y = w1 * y2 + x1 * z2 - y1 * w2 - z1 * x2
+    z = w1 * z2 - x1 * y2 + y1 * x2 - z1 * w2
+    theta = 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    u1, u2, u3 = a.vec.tolist()
+    v1, v2, v3 = b.vec.tolist()
+    return math.hypot(theta, v1 - u1, v2 - u2, v3 - u3)
 
 
 def reference_distance(g: GroupElement) -> float:

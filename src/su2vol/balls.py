@@ -34,6 +34,9 @@ SQRT8 = math.sqrt(8.0)
 # every collision family moves some angle by at least pi
 EXTENT_CAP = 1.45
 CONFIDENCE_Z = 2.576  # two-sided 99%
+# longest word repetition a distance candidate may use; beyond it the axis
+# is only turned directly (a tiny stretch would need astronomically many)
+MAX_WORD_REPEATS = 1e4
 
 
 class OutOfRange(Exception):
@@ -171,20 +174,16 @@ def _axis_word_cost(a, i, phi):
     """
     phi = np.abs(np.asarray(phi, dtype=float))
     j, k = (i + 1) % 3, (i + 2) % 3
-    best = np.full(phi.shape, np.inf)
+    scaled = SQRT8 * phi
+    costs = []
     for A, B in ((j, k), (k, j)):
         ca, cb = 2.0 * a[A], 3.0 * a[B]
+        s = np.minimum(np.sqrt(scaled * cb / ca), math.pi)
+        t = np.minimum(np.sqrt(scaled * ca / cb), 0.5 * math.pi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.sqrt(SQRT8 * phi * cb / ca)
-            t = np.sqrt(SQRT8 * phi * ca / cb)
-        s = np.clip(s, 0.0, math.pi)
-        t = np.clip(t, 0.0, 0.5 * math.pi)
-        reach = s * t / SQRT8
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n_rep = np.ceil(phi / reach)
-        cost = n_rep * (ca * s + cb * t)
-        best = np.minimum(best, np.where(phi > 0.0, cost, 0.0))
-    return best
+            n_rep = np.ceil(phi / (s * t / SQRT8))
+        costs.append(n_rep * (ca * s + cb * t))
+    return np.where(phi > 0.0, np.minimum(*costs), 0.0)
 
 
 def _minimal_angle_rep(x):
@@ -216,33 +215,49 @@ def _certified_bounds(a, d, xs, ys):
 
     xs are chart angles in the metric's own frame, ys central coordinates
     in the orthonormal f-frame; both (n, 3).  The lower bound is the speed
-    floor; the upper bounds are lengths of straight-log and chart-ordered
-    paths.
+    floor.  The upper bound is the shortest of ten path lengths: the two
+    straight-log branches, and the eight chart-ordered paths that turn
+    each axis i by nu_i (the minimal representative of x_i) either
+    directly, at cost a_i |nu_i| with central drift d nu_i, or by a
+    balanced word of cost _axis_word_cost and no drift, and then close the
+    central residual y - drift in a straight line.
+
+    The work is on per-axis columns: each axis's two (cost, squared
+    residual) choices are computed once, and every candidate is
+    (c0 + c1) + c2 + sqrt((s0 + s1) + s2).  That is the left-to-right
+    order of numpy's 3-wide axis-1 sums, so the bounds equal those of the
+    (n, 3) formulation bit for bit.
     """
     a = np.asarray(a, dtype=float)
-    x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
-    theta, axis_hat = angle_axis(np.stack(euler_quat(x1, x2, x3), axis=1))
-    y_norm = np.linalg.norm(ys, axis=1)
+    x, y = xs.T, ys.T
+    theta, axis_hat = angle_axis(np.stack(euler_quat(x[0], x[1], x[2]),
+                                          axis=1))
+    y_sq = [y[i] ** 2 for i in range(3)]
+    y_norm = np.sqrt((y_sq[0] + y_sq[1]) + y_sq[2])
     lower = _speed_floor(float(np.min(a)), d, theta, y_norm)
 
     upper = np.full(xs.shape[0], np.inf)
     for branch in (theta, theta - FOUR_PI):
-        alpha = branch[:, None] * axis_hat
-        beta = ys - d * alpha
-        cost = np.sqrt(np.sum((a[None, :] * alpha) ** 2, axis=1)
-                       + np.sum(beta ** 2, axis=1))
-        upper = np.minimum(upper, cost)
+        alpha = [branch * axis_hat[:, i] for i in range(3)]
+        rot = [(a[i] * alpha[i]) ** 2 for i in range(3)]
+        beta = [(y[i] - d * alpha[i]) ** 2 for i in range(3)]
+        cost = np.sqrt(((rot[0] + rot[1]) + rot[2])
+                       + ((beta[0] + beta[1]) + beta[2]))
+        np.minimum(upper, cost, out=upper)
 
-    nu = _minimal_angle_rep(xs)
-    direct = np.abs(nu) * a[None, :]
-    word = np.stack([_axis_word_cost(a, i, nu[:, i]) for i in range(3)],
-                    axis=1)
+    # axis i's (rotation cost, squared central residual): the word and no
+    # drift where bit i of the mask is clear, the direct turn and its
+    # drift d nu_i where it is set
+    choices = []
+    for i in range(3):
+        nu = _minimal_angle_rep(x[i])
+        choices.append(((_axis_word_cost(a, i, nu), y_sq[i]),
+                        (np.abs(nu) * a[i], (y[i] - d * nu) ** 2)))
     for mask in range(8):
-        sel = np.array([(mask >> i) & 1 for i in range(3)], dtype=bool)
-        rot_cost = np.sum(np.where(sel[None, :], direct, word), axis=1)
-        drift = d * nu * sel[None, :]
-        trans = np.linalg.norm(ys - drift, axis=1)
-        upper = np.minimum(upper, rot_cost + trans)
+        (c0, s0), (c1, s1), (c2, s2) = (choices[i][(mask >> i) & 1]
+                                        for i in range(3))
+        cost = ((c0 + c1) + c2) + np.sqrt((s0 + s1) + s2)
+        np.minimum(upper, cost, out=upper)
     return lower, upper
 
 
@@ -320,7 +335,8 @@ def _coordinate_candidates(m, p):
 
 
 def _word_factors_free(a, i, phi):
-    """Concrete word factors for e^{phi u_i} with freely optimized caps."""
+    """Concrete word factors for e^{phi u_i} with freely optimized caps;
+    None when every word would repeat more than MAX_WORD_REPEATS times."""
     if phi == 0.0:
         return []
     j, k = (i + 1) % 3, (i + 2) % 3
@@ -334,7 +350,7 @@ def _word_factors_free(a, i, phi):
             continue
         eps = 1.0 if (A, B) == (j, k) else -1.0
         f_max, _ = commutator_identity(s_cap, t_cap)
-        if f_max <= 0.0:
+        if f_max <= 0.0 or abs(phi) / f_max > MAX_WORD_REPEATS:
             continue
         n_rep = max(1, math.ceil(abs(phi) / f_max))
         s = _solve_word_angle(eps * phi / n_rep, t_cap)
@@ -552,9 +568,15 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     Two strata share one loop: a quarter of the samples in the core box,
     the rest in the outer region or the torus; every sample is weighted by
     the mixture density of both.
+
+    Raises ValueError for r <= 0, for n < 1, and for a bracket that floats
+    cannot hold (at tilts d beyond about 1e104 the fallback box volume
+    overflows).
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
+    if n < 1:
+        raise ValueError("ball_volume needs at least one sample")
     mc = canonicalize(m)
     a = np.asarray(mc.a, dtype=float)
     d = mc.d
@@ -646,6 +668,9 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     se_up = math.sqrt(max(0.0, n * s2_up - s_up ** 2) / max(1, n - 1))
     lower = max(cert_mass, s_in - CONFIDENCE_Z * se_in)
     upper_v = max(s_up + CONFIDENCE_Z * se_up, lower)
+    if not (math.isfinite(lower) and math.isfinite(upper_v)):
+        raise ValueError(f"ball volume bracket [{lower}, {upper_v}] is not "
+                         "finite at this metric and radius")
     amb = s_amb
     if s_up > 0.0 and amb > 0.2 * s_up:
         flags.append("low_confidence")

@@ -199,3 +199,24 @@ def test_angle_axis_vectorized_with_identity_fallback():
     one_theta, one_axis = angle_axis(qs[1])
     assert one_theta == theta[1]
     npt.assert_array_equal(one_axis, axis[1])
+
+
+def test_g0_distance_between_matches_reference_chain():
+    # the float path must agree with the numpy chain it replaces, from
+    # rotations of 1e-8 (where an arccos would read 0) up to about 2 pi
+    rng = np.random.default_rng(57)
+    for scale in (1e-8, 1e-5, 1e-2, 1.0, 3.0):
+        for _ in range(40):
+            a = exp_group(AlgebraElement(2.0 * rng.normal(size=6)))
+            step = rng.normal(size=6)
+            b = mul(a, exp_group(AlgebraElement(scale * step)))
+            want = reference_distance(mul(a.inverse(), b))
+            assert g0_distance_between(a, b) == pytest.approx(
+                want, rel=1e-15, abs=0.0)
+    for eps in (1e-8, 2e-8, 3e-8):
+        g = exp_group(_alg([0.0, eps, 0.0]))
+        assert g0_distance_between(IDENTITY, g) == pytest.approx(
+            eps, rel=1e-15)
+        assert g0_distance_between(g, IDENTITY) == pytest.approx(
+            eps, rel=1e-15)
+    assert g0_distance_between(IDENTITY, IDENTITY) == 0.0

@@ -5,14 +5,15 @@ import numpy.testing as npt
 import pytest
 
 from su2vol.algebra import (
-    AlgebraElement, GroupElement, exp_group, g0_distance_between, mul,
-    reference_distance,
+    AlgebraElement, GroupElement, angle_axis, exp_group, g0_distance_between,
+    mul, reference_distance,
 )
 from su2vol.balls import (
-    SWEEP_COLUMNS, OutOfRange, _lambda_max, ball_volume, distance_bracket,
-    default_sweep_grid, sweep, word_upper_bound,
+    FOUR_PI, SQRT8, SWEEP_COLUMNS, TWO_PI, OutOfRange, _certified_bounds,
+    _lambda_max, _minimal_angle_rep, _speed_floor, ball_volume,
+    distance_bracket, default_sweep_grid, sweep, word_upper_bound,
 )
-from su2vol.frames import path_length, segment_product
+from su2vol.frames import euler_quat, path_length, segment_product
 from su2vol.metrics import MetricTensor, from_parameters, reduce_to_decoupled
 from su2vol.volumes import (
     EstimatorInputs, Side, containment_sets, hexagon_area,
@@ -33,6 +34,57 @@ def _endpoint(m, rows):
         coeffs = U @ alpha + m.F @ (m.d * alpha + beta)
         out = mul(out, exp_group(AlgebraElement(duration * coeffs)))
     return out
+
+
+def _word_cost_clipped(a, i, phi):
+    """_axis_word_cost written with np.clip and one np.where per pair."""
+    phi = np.abs(np.asarray(phi, dtype=float))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    best = np.full(phi.shape, np.inf)
+    for A, B in ((j, k), (k, j)):
+        ca, cb = 2.0 * a[A], 3.0 * a[B]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.sqrt(SQRT8 * phi * cb / ca)
+            t = np.sqrt(SQRT8 * phi * ca / cb)
+        s = np.clip(s, 0.0, math.pi)
+        t = np.clip(t, 0.0, 0.5 * math.pi)
+        reach = s * t / SQRT8
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n_rep = np.ceil(phi / reach)
+        cost = n_rep * (ca * s + cb * t)
+        best = np.minimum(best, np.where(phi > 0.0, cost, 0.0))
+    return best
+
+
+def _bounds_8_masks(a, d, xs, ys):
+    """The (n, 3) formulation of _certified_bounds: each of the eight
+    chart-ordered candidates selects direct or word costs with np.where
+    and reduces along axis 1."""
+    a = np.asarray(a, dtype=float)
+    x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
+    theta, axis_hat = angle_axis(np.stack(euler_quat(x1, x2, x3), axis=1))
+    y_norm = np.linalg.norm(ys, axis=1)
+    lower = _speed_floor(float(np.min(a)), d, theta, y_norm)
+
+    upper = np.full(xs.shape[0], np.inf)
+    for branch in (theta, theta - FOUR_PI):
+        alpha = branch[:, None] * axis_hat
+        beta = ys - d * alpha
+        cost = np.sqrt(np.sum((a[None, :] * alpha) ** 2, axis=1)
+                       + np.sum(beta ** 2, axis=1))
+        upper = np.minimum(upper, cost)
+
+    nu = _minimal_angle_rep(xs)
+    direct = np.abs(nu) * a[None, :]
+    word = np.stack([_word_cost_clipped(a, i, nu[:, i]) for i in range(3)],
+                    axis=1)
+    for mask in range(8):
+        sel = np.array([(mask >> i) & 1 for i in range(3)], dtype=bool)
+        rot_cost = np.sum(np.where(sel[None, :], direct, word), axis=1)
+        drift = d * nu * sel[None, :]
+        trans = np.linalg.norm(ys - drift, axis=1)
+        upper = np.minimum(upper, rot_cost + trans)
+    return lower, upper
 
 
 def _rho(m, r, eta=0.1):
@@ -406,3 +458,67 @@ def test_mdd_empirical_isotropic():
     mdd = out["rows"][0]["mdd_emp"]
     assert math.isfinite(mdd)
     assert mdd <= 6.0
+
+
+def _bounds_inputs(rng, n):
+    """Chart angles from 1e-9 to 2 pi in size, central points from 1e-3 to
+    1e2, and edge rows: x = 0, theta = 2 pi (x1 = 2 pi) and |x_i| = 2 pi
+    on each axis, with and without a central part."""
+    xs = rng.uniform(-TWO_PI, TWO_PI, (n, 3)) * 10.0 ** rng.uniform(
+        -9.0, 0.0, (n, 1))
+    ys = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 2.0, (n, 1))
+    edges = [[0.0, 0.0, 0.0], [TWO_PI, 0.0, 0.0], [0.0, TWO_PI, 0.0],
+             [0.0, 0.0, TWO_PI], [-TWO_PI, 0.0, 0.0], [0.0, -TWO_PI, 0.0],
+             [TWO_PI, -TWO_PI, TWO_PI], [-TWO_PI, TWO_PI, -TWO_PI]]
+    for row, x in enumerate(edges):
+        xs[2 * row:2 * row + 2] = x
+        ys[2 * row] = 0.0
+    return xs, ys
+
+
+def test_certified_bounds_match_8_mask_formulation():
+    # the column form adds in numpy's axis-1 order, so lower and upper
+    # equal the (n, 3) formulation bit for bit
+    rng = np.random.default_rng(58)
+    for trial in range(24):
+        a = np.sort(10.0 ** rng.uniform(-2.0, 2.0, 3))
+        if trial % 6 == 0:
+            a = np.array([0.01, 1.0, 100.0])
+        d = (0.0, 1.0, 1e4)[trial % 3]
+        xs, ys = _bounds_inputs(rng, 2000)
+        want_lo, want_up = _bounds_8_masks(a, d, xs, ys)
+        got_lo, got_up = _certified_bounds(a, d, xs, ys)
+        npt.assert_array_equal(got_lo, want_lo)
+        npt.assert_array_equal(got_up, want_up)
+    assert np.all(np.isfinite(got_up)) and np.all(got_lo <= got_up)
+
+
+def test_distance_tiny_stretch_brackets_without_huge_words():
+    # a word about the cheap axis would repeat ~1e79 (a1 = 1e-160) or
+    # millions of times (a1 = 1e-12); such words are skipped and the
+    # direct chart-ordered path remains
+    p = exp_group(AlgebraElement(np.array([0.1, -0.2, 0.3, 0.1, 0.1, 0.1])))
+    for a1 in (1e-160, 1e-12):
+        m = from_parameters(a1, 1.0, 1.0, 0.0)
+        db = distance_bracket(m, p, budget=0)
+        assert math.isfinite(db.upper)
+        assert 0.0 < db.lower <= db.upper
+        end = segment_product(m, db.witness.segments)
+        assert g0_distance_between(end, p) <= 1e-6 * (1.0 + db.upper)
+        assert path_length(m, db.witness) == pytest.approx(db.upper,
+                                                           rel=1e-9)
+
+
+def test_ball_rejects_too_few_samples():
+    m = from_parameters(1.0, 1.0, 1.0, 0.0)
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            ball_volume(m, 0.1, n)
+
+
+def test_ball_rejects_non_finite_bracket():
+    # at this tilt the fallback box volume overflows and the upper bound
+    # would read NaN
+    m = from_parameters(1.0, 1.0, 1.0, 1e112)
+    with pytest.raises(ValueError), np.errstate(all="ignore"):
+        ball_volume(m, 0.1, 2000, seed=1)
