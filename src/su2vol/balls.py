@@ -4,9 +4,14 @@ volumes for the reference measure, and the sweep harness.
 Distances are certified two-sided: the lower bound is the speed floor of
 the rotation and translation a path must cover, every upper bound is the
 exact length of an explicitly constructed control path.  Ball volumes
-classify stratified samples through vectorized versions of the same
-bounds, so the reported bracket is conservative by construction;
-ambiguous samples only ever widen it.
+classify samples through vectorized versions of the same bounds.  One
+draw loop serves both sampling modes: it draws from a set S of known
+reference mass that contains the ball (the speed floor bounds the
+rotation angle by r / a_min and each central coordinate by d r / a_i + r),
+and counts certain and possible hits outside a core box certified inside
+the ball.  The counts are exactly binomial, so one Clopper-Pearson bound
+turns them into a 99% bracket for any sample count; ambiguous samples
+only ever widen it.
 """
 from __future__ import annotations
 
@@ -14,13 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from .algebra import (AlgebraElement, GroupElement, angle_axis, exp_group,
                       g0_distance_between, mul)
-from .frames import (ControlPath, PathSegment, commutator_identity,
-                     euler_quat, path_length, segment_product, word_factors,
-                     wrap_circle)
+from .frames import (ControlPath, PathSegment, chart_angles,
+                     commutator_identity, euler_quat, path_length,
+                     segment_product, word_factors)
 from .metrics import DecoupledMetric, canonicalize, from_parameters
 from .volumes import (EstimatorInputs, Hexagon, Side, containment_sets,
                       hexagon_area, hexagon_area_truncated, hexagon_contains,
@@ -33,7 +38,7 @@ SQRT8 = math.sqrt(8.0)
 # x-extent cap under which the chart is injective on the sampling region:
 # every collision family moves some angle by at least pi
 EXTENT_CAP = 1.45
-CONFIDENCE_Z = 2.576  # two-sided 99%
+ALPHA = 0.01  # volume brackets hold at two-sided level 1 - ALPHA
 # longest word repetition a distance candidate may use; beyond it the axis
 # is only turned directly (a tiny stretch would need astronomically many)
 MAX_WORD_REPEATS = 1e4
@@ -294,21 +299,13 @@ def _controls_path(rows):
                         if np.any(alpha) or np.any(beta)])
 
 
-def _euler_extract(q):
-    w, X, Y, Z = q
-    x2 = math.asin(min(1.0, max(-1.0, 2.0 * (w * Y - Z * X))))
-    x1 = math.atan2(2.0 * (w * X + Y * Z), 1.0 - 2.0 * (X * X + Y * Y))
-    x3 = math.atan2(2.0 * (w * Z + X * Y), 1.0 - 2.0 * (Y * Y + Z * Z))
-    return np.array([x1, x2, x3])
-
-
 def _coordinate_candidates(m, p):
     """Paths traversing the chart axes in order, with optional word
     replacements per axis; translation correction appended."""
     a = np.asarray(m.a, dtype=float)
     q, y_f = _frame_coordinates(m, p)
-    x = _euler_extract(q)
-    nu = _minimal_angle_rep(wrap_circle(x))
+    # chart_angles returns each angle's minimal representative
+    nu = np.array(chart_angles(q))
     words = [_word_factors_free(a, axis, nu[axis]) for axis in range(3)]
     out = []
     for mask in range(8):
@@ -454,57 +451,41 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
 
 # -- ball volumes ------------------------------------------------------------
 
-# torus sheet maps generating the full generic preimage of a chart point:
-# even 2 pi lattice shifts and the reflection family, composed
-_EVEN_SHIFTS = [np.array(s) for s in
-                [(0.0, 0.0, 0.0), (TWO_PI, TWO_PI, 0.0),
-                 (TWO_PI, 0.0, TWO_PI), (0.0, TWO_PI, TWO_PI)]]
+def _theta_mass(theta):
+    """theta - sin theta, to full relative precision: below 0.25, where the
+    difference cancels, by its Taylor series up to theta^13 (the first
+    omitted term is below 1e-18 of the sum there).  8 pi times it is the
+    reference mass of the rotations of angle at most theta."""
+    theta = np.asarray(theta, dtype=float)
+    t2 = theta * theta
+    series = theta * t2 * (1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 * (
+        1.0 / 5040.0 - t2 * (1.0 / 362880.0 - t2 * (
+            1.0 / 39916800.0 - t2 / 6227020800.0)))))
+    return np.where(theta < 0.25, series, theta - np.sin(theta))
 
 
-def _sheet_apply(x, shift, reflect):
-    out = x.copy()
-    if reflect:
-        out = np.stack([out[:, 0] + math.pi, math.pi - out[:, 1],
-                        out[:, 2] + math.pi], axis=1)
-    return wrap_circle(out + shift[None, :])
+def _invert_theta_mass(c):
+    """theta in [0, 2 pi] with theta - sin theta = c, for c in [0, 2 pi].
 
-
-def _sheet_invert(x, shift, reflect):
-    out = wrap_circle(x - shift[None, :])
-    if reflect:
-        out = np.stack([out[:, 0] - math.pi, math.pi - out[:, 1],
-                        out[:, 2] - math.pi], axis=1)
-        out = wrap_circle(out)
-    return out
-
-
-_SHEETS = [(s, ref) for ref in (False, True) for s in _EVEN_SHIFTS]
-
-
-def _sample_cos_density(n, rng):
-    """x2 with density |cos x2| / 8 on the circle, inverse CDF."""
-    v = 8.0 * rng.random(n)
-    half = np.floor(v / 2.0)
-    s = v - 2.0 * half
-    phi = np.where(s <= 1.0, np.arcsin(np.clip(s, 0.0, 1.0)),
-                   math.pi - np.arcsin(np.clip(2.0 - s, 0.0, 1.0)))
-    return wrap_circle(-TWO_PI + half * math.pi + phi)
-
-
-def _hex_product_sample(hexes, n, rng):
-    xs = np.empty((n, 3))
-    ys = np.empty((n, 3))
-    for i, h in enumerate(hexes):
-        xs[:, i], ys[:, i] = sample_hexagon(h, n, rng)
-    return xs, ys
-
-
-def _hex_product_density(hexes, areas, xs, ys):
-    dens = np.ones(xs.shape[0])
-    for i, h in enumerate(hexes):
-        inside = hexagon_contains(h, xs[:, i], ys[:, i])
-        dens *= np.where(inside, 1.0 / areas[i], 0.0)
-    return dens
+    f(theta) = theta - sin theta is odd about (pi, pi), so c > pi is solved
+    as 2 pi - f^-1(2 pi - c): Newton then runs on [0, pi] only, where f is
+    convex and f' = 2 sin^2(theta/2) vanishes only at 0 (near 2 pi, where
+    f' vanishes too, plain Newton stalls).  The start (6c)^(1/3) lies left
+    of the root since sin t >= t - t^3/6, the first step lands right of it,
+    and from there the iterates fall monotonically, quadratically at the
+    end; four steps reach the rounding floor from the worst start, and a
+    fifth is kept in hand.
+    """
+    c = np.asarray(c, dtype=float)
+    upper = c > math.pi
+    c = np.where(upper, TWO_PI - c, c)
+    theta = np.minimum(np.cbrt(6.0 * c), math.pi)
+    for _ in range(5):
+        slope = 2.0 * np.sin(0.5 * theta) ** 2
+        gap = _theta_mass(theta) - c
+        step = np.divide(gap, slope, out=np.zeros_like(gap), where=slope > 0.0)
+        theta = np.clip(theta - step, 0.0, math.pi)
+    return np.where(upper, TWO_PI - theta, theta)
 
 
 def _outer_hexes(inp, rho, scale):
@@ -512,62 +493,65 @@ def _outer_hexes(inp, rho, scale):
             for i in range(3)]
 
 
-def _box_geometry(a, r):
-    """Axis box certified inside the r-ball: rotate straight to x (cost
-    sum a_i |x_i| <= r/2), then cancel the u = y - d x remainder (cost
-    |u| <= r/3).  Extents stay below pi/2 so the chart is injective."""
+def _hex_product_sample(hexes, n, rng):
+    xs, ys = zip(*(sample_hexagon(h, n, rng) for h in hexes))
+    return np.column_stack(xs), np.column_stack(ys)
+
+
+def _core_box(a, r):
+    """(bx, bu, exact mass) of an axis box certified inside the r-ball:
+    |x_i| <= bx_i and |y - d x| <= bu.  Rotating straight to x costs
+    sum a_i |x_i| <= r/2, cancelling u = y - d x costs |u| <= r/3; extents
+    stay below pi/2, so the chart is injective and the box's reference
+    mass is its chart integral of |cos x2|."""
     bx = np.minimum(r / (6.0 * a), EXTENT_CAP)
     bu = r / (3.0 * math.sqrt(3.0))
-    return bx, bu
+    return bx, bu, float(4.0 * bx[0] * bx[2] * 2.0 * math.sin(bx[1])
+                         * (2.0 * bu) ** 3)
 
 
-def _box_sample(bx, bu, d, count, rng):
-    xs = rng.uniform(-bx, bx, (count, 3))
-    ys = d * xs + rng.uniform(-bu, bu, (count, 3))
-    return xs, ys
-
-
-def _box_density(bx, bu, d, xs, ys):
-    p = 1.0 / (float(np.prod(2.0 * bx)) * (2.0 * bu) ** 3)
-    inside = (np.all(np.abs(xs) <= bx[None, :], axis=1)
-              & np.all(np.abs(ys - d * xs) <= bu, axis=1))
-    return np.where(inside, p, 0.0)
-
-
-def _box_certified_mass(bx, bu):
-    """Exact reference measure of the certified box (chart density
-    |cos x2|), a deterministic positive lower bound for the ball."""
-    ix2 = 2.0 * math.sin(min(bx[1], 0.5 * math.pi))
-    return float(4.0 * bx[0] * bx[2] * ix2 * (2.0 * bu) ** 3)
-
-
-def _accumulate(weights, in_mask, amb_mask):
-    v_in = weights * in_mask
-    v_up = weights * (in_mask | amb_mask)
-    v_amb = weights * amb_mask
-    n = weights.shape[0]
-    return np.array([
-        n, v_in.sum(), (v_in ** 2).sum(), v_up.sum(), (v_up ** 2).sum(),
-        v_amb.sum()])
+def _clopper_pearson(k, n):
+    """Exact binomial interval (Clopper & Pearson 1934) for the success
+    probability after k successes in n trials: each end holds at one-sided
+    level ALPHA / 2, whatever k and n >= 1."""
+    lo = float(special.betaincinv(k, n - k + 1, 0.5 * ALPHA)) if k > 0 else 0.0
+    hi = (float(special.betaincinv(k + 1, n - k, 1.0 - 0.5 * ALPHA))
+          if k < n else 1.0)
+    return lo, hi
 
 
 def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
                 seed: int = 0, eta: float = 0.1,
                 c_outer: float = 8.0) -> VolumeBracket:
-    """Conservative Monte Carlo bracket of the reference-measure ball volume.
+    """Certified 99% Monte Carlo bracket of the reference-measure ball volume.
 
-    Samples live in chart coordinates weighted by |cos x2|.  When the outer
-    containment regime applies and its hexagons are narrow enough for the
-    chart to be injective there, sampling restricts to a slightly enlarged
-    outer region; otherwise it covers the full torus times the certain
-    bounding box, dividing by the 8-fold chart multiplicity.  A small box
-    around the identity is certified inside the ball outright, which keeps
-    the lower bound positive.  Classification is by vectorized certified
-    bounds, so ambiguous samples widen the bracket and never corrupt it.
+    vol = cert_mass + M(S) p.  cert_mass is the exact mass of a small box
+    around the identity that lies inside the ball outright, which keeps the
+    lower bound positive.  S is a set of known reference mass M(S) that
+    contains the ball, and p is the probability that a draw from S is
+    accepted, lies in the ball and lies outside the box.  Each of the n
+    draws is independent and succeeds with exactly that probability, so
+    the number of certain hits (certified upper bound <= r) and the number
+    of possible hits (speed floor <= r) are exactly binomial: their
+    Clopper-Pearson ends at 0.5% each give the lower and the upper bound,
+    for every n >= 1 and zero hits included.  Ambiguous samples only widen
+    the bracket.
 
-    Two strata share one loop: a quarter of the samples in the core box,
-    the rest in the outer region or the torus; every sample is weighted by
-    the mixture density of both.
+    Fallback mode: S = T = {rotation angle theta <= theta_m} x box, drawn
+    uniformly in reference measure and accepted always.  A path of length
+    L <= r turns by Phi >= theta in total at speed at least a_min |alpha|,
+    so theta <= Phi <= r / a_min, and theta <= 2 pi anyway: theta_m =
+    min(r / a_min, 2 pi).  Its central coordinate moves by d alpha_i + beta_i,
+    so |y_i| <= d r / a_i + r, the linear_upper box.  The rotations of angle
+    at most theta_m have mass 8 pi (theta_m - sin theta_m); theta is drawn
+    by inverting that, the axis uniformly, y uniformly in the box.
+
+    Hexagon mode, when the outer containment regime applies (r <= eta a2)
+    and its hexagons enlarged by 1.25 are narrow enough for the chart to be
+    injective: S is that hexagon product in chart coordinates, drawn
+    uniformly, M(S) the product of the hexagon areas, and a draw is
+    accepted when a uniform u < |cos x2|, the chart density.  Certain hits
+    outside the unenlarged hexagons raise the containment_ring_hits flag.
 
     Raises ValueError for r <= 0, for n < 1, and for a bracket that floats
     cannot hold (at tilts d beyond about 1e104 the fallback box volume
@@ -585,94 +569,60 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     flags = []
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    bx, bu = _box_geometry(a, r)
-    cert_mass = _box_certified_mass(bx, bu)
+    bx, bu, cert_mass = _core_box(a, r)
 
-    hex_mode = False
-    if r <= eta * a[1]:
-        plus = _outer_hexes(inp, rho, 1.25 * c_outer)
-        if max(h.x_half_width for h in plus) <= EXTENT_CAP:
-            hex_mode = True
-
-    # sheets: the chart sheets the sampled region covers, one where the
-    # chart is injective on it, all eight over the full torus
+    plus = _outer_hexes(inp, rho, 1.25 * c_outer) if r <= eta * a[1] else []
+    hex_mode = bool(plus) and max(h.x_half_width for h in plus) <= EXTENT_CAP
     if hex_mode:
-        mode, sheets = "hexagon", _SHEETS[:1]
+        mode = "hexagon"
         std = _outer_hexes(inp, rho, c_outer)
-        areas_plus = np.array([hexagon_area(h) for h in plus])
+        mass = float(np.prod([hexagon_area(h) for h in plus]))
 
-        def draw_rest(take):
-            return _hex_product_sample(plus, take, rng)
-
-        def rest_density(xs, ys, jac):
-            return _hex_product_density(plus, areas_plus, xs, ys)
+        def draw(take):
+            xs, ys = _hex_product_sample(plus, take, rng)
+            return xs, ys, rng.random(take) < np.abs(np.cos(xs[:, 1]))
     else:
-        mode, sheets = "fallback", _SHEETS
+        mode = "fallback"
+        theta_m = min(r / a[0], TWO_PI)
         half = linear_upper(inp)
-        vol_box = float(np.prod(2.0 * half))
+        mass = 8.0 * math.pi * float(_theta_mass(theta_m)) * float(
+            np.prod(2.0 * half))
 
-        def draw_rest(take):
-            x2 = _sample_cos_density(take, rng)
-            x1 = rng.uniform(-TWO_PI, TWO_PI, take)
-            x3 = rng.uniform(-TWO_PI, TWO_PI, take)
-            return (np.stack([x1, x2, x3], axis=1),
-                    rng.uniform(-half, half, (take, 3)))
+        def draw(take):
+            theta = _invert_theta_mass(rng.random(take) * _theta_mass(theta_m))
+            axis = rng.standard_normal((take, 3))
+            axis *= (np.sin(0.5 * theta)
+                     / np.linalg.norm(axis, axis=1))[:, None]
+            q = np.column_stack([np.cos(0.5 * theta), axis])
+            xs = np.stack(chart_angles(q), axis=1)
+            return xs, rng.uniform(-half, half, (take, 3)), np.ones(take, bool)
 
-        def rest_density(xs, ys, jac):
-            return (jac / 8.0) * (1.0 / FOUR_PI) ** 2 / vol_box
-    mult = len(sheets)
-
-    def draw_core(take):
-        xs, ys = _box_sample(bx, bu, d, take, rng)
-        sheet_idx = rng.integers(0, mult, take)
-        for si, (shift, refl) in enumerate(sheets):
-            picked = sheet_idx == si
-            if picked.any():
-                xs[picked] = _sheet_apply(xs[picked], shift, refl)
-        return xs, ys
-
-    def core_density(xs, ys):
-        return sum(_box_density(bx, bu, d, _sheet_invert(xs, shift, refl), ys)
-                   for shift, refl in sheets)
-
-    n_core = n // 4
-    n_rest = n - n_core
     chunk = 1 << 17
-    totals = np.zeros(6)
-    leak = 0
-    for draw, count in ((draw_core, n_core), (draw_rest, n_rest)):
-        for start in range(0, count, chunk):
-            take = min(chunk, count - start)
-            xs, ys = draw(take)
-            jac = np.abs(np.cos(xs[:, 1]))
-            dens = ((n_rest / n) * rest_density(xs, ys, jac)
-                    + (n_core / n) * core_density(xs, ys) / mult)
-            low, upper = _certified_bounds(a, d, xs, ys)
-            in_mask = upper <= r
-            amb_mask = (~in_mask) & (low <= r)
-            weights = jac / (dens * n) / mult
-            totals += _accumulate(weights, in_mask, amb_mask)
-            if hex_mode and in_mask.any():
-                member = np.ones(take, dtype=bool)
-                for i, h in enumerate(std):
-                    member &= np.asarray(
-                        hexagon_contains(h, xs[:, i], ys[:, i]))
-                leak += int(np.count_nonzero(in_mask & ~member))
+    k_in = k_up = leak = 0
+    for start in range(0, n, chunk):
+        xs, ys, keep = draw(min(chunk, n - start))
+        # box hits are already counted in cert_mass
+        keep &= ~(np.all(np.abs(xs) <= bx, axis=1)
+                  & np.all(np.abs(ys - d * xs) <= bu, axis=1))
+        xs, ys = xs[keep], ys[keep]
+        low, upper = _certified_bounds(a, d, xs, ys)
+        hit = upper <= r
+        k_in += int(np.count_nonzero(hit))
+        k_up += int(np.count_nonzero(hit | (low <= r)))
+        if hex_mode:
+            leak += int(np.count_nonzero(~np.all(
+                [hexagon_contains(h, xs[hit, i], ys[hit, i])
+                 for i, h in enumerate(std)], axis=0)))
     if leak:
         flags.append("containment_ring_hits")
 
-    _, s_in, s2_in, s_up, s2_up, s_amb = totals
-    # s_* are sums of per-sample contributions v_s that already carry 1/n,
-    # so the mean is the plain sum and SE^2 = (n sum v^2 - (sum v)^2)/(n-1)
-    se_in = math.sqrt(max(0.0, n * s2_in - s_in ** 2) / max(1, n - 1))
-    se_up = math.sqrt(max(0.0, n * s2_up - s_up ** 2) / max(1, n - 1))
-    lower = max(cert_mass, s_in - CONFIDENCE_Z * se_in)
-    upper_v = max(s_up + CONFIDENCE_Z * se_up, lower)
+    lower = cert_mass + mass * _clopper_pearson(k_in, n)[0]
+    upper_v = cert_mass + mass * _clopper_pearson(k_up, n)[1]
     if not (math.isfinite(lower) and math.isfinite(upper_v)):
         raise ValueError(f"ball volume bracket [{lower}, {upper_v}] is not "
                          "finite at this metric and radius")
-    amb = s_amb
-    if s_up > 0.0 and amb > 0.2 * s_up:
+    amb = mass * (k_up - k_in) / n
+    if amb > 0.2 * (cert_mass + mass * k_up / n):
         flags.append("low_confidence")
     return VolumeBracket(lower, upper_v, amb, int(n), int(seed),
                          mode, tuple(flags))

@@ -78,6 +78,27 @@ def euler_quat(x1, x2, x3):
     return w, qx, qy, qz
 
 
+def chart_angles(q):
+    """Chart angles (x1, x2, x3) with euler_quat(x1, x2, x3) == q.
+
+    q is a unit quaternion (w, X, Y, Z) along the last axis, vectorized.
+    The extraction fixes the rotation only up to the central sign and
+    returns x2 in [-pi/2, pi/2]; where the extracted angles give -q, x1
+    moves by 2 pi, which negates the quaternion.  Each angle is then its
+    own minimal representative.  The round trip is accurate to about
+    1e-16 / |cos x2|: at gimbal lock, x2 = +-pi/2, the arcsine loses the
+    split between x1 and x3.
+    """
+    w, X, Y, Z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    x2 = np.arcsin(np.clip(2.0 * (w * Y - Z * X), -1.0, 1.0))
+    x1 = np.arctan2(2.0 * (w * X + Y * Z), 1.0 - 2.0 * (X * X + Y * Y))
+    x3 = np.arctan2(2.0 * (w * Z + X * Y), 1.0 - 2.0 * (Y * Y + Z * Z))
+    w_hat, x_hat, y_hat, z_hat = euler_quat(x1, x2, x3)
+    flip = w * w_hat + X * x_hat + Y * y_hat + Z * z_hat < 0.0
+    x1 = np.where(flip, wrap_circle(x1 + TWO_PI), x1)
+    return x1, x2, x3
+
+
 def psi(c: Coordinates) -> GroupElement:
     """Evaluate the chart in the reference basis."""
     q = np.array(euler_quat(c.x[0], c.x[1], c.x[2]), dtype=float)

@@ -148,23 +148,24 @@ def hexagon_vertices(mu_star, nu_star, xi_star, d):
     return np.array(verts[:-1])
 
 
-def ball_volume_isotropic(r):
-    """Reference-measure volume of the unit-isotropic ball, d = 0.
+def ball_volume_isotropic(r, a=1.0):
+    """Reference-measure volume of the isotropic ball a1 = a2 = a3 = a, d = 0.
 
-    For a1 = a2 = a3 = 1 the group is the round 3-sphere of radius 2
-    (geodesic distance = rotation angle) times flat R^3, and the distance
-    is the Euclidean hypot of the two factors. Slicing by rotation angle
-    theta gives sphere area 16 pi sin^2(theta/2) times the Euclidean ball
-    volume of radius sqrt(r^2 - theta^2).
+    The group is then the round 3-sphere of radius 2 (geodesic distance =
+    rotation angle theta), scaled by a, times flat R^3, and the distance is
+    the Euclidean hypot of a*theta and the translation. Slicing by rotation
+    angle theta <= min(r/a, 2 pi) gives sphere area 16 pi sin^2(theta/2)
+    times the Euclidean ball volume of radius sqrt(r^2 - a^2 theta^2).
     """
-    top = min(r, 2.0 * math.pi)
+    top = min(r / a, 2.0 * math.pi)
 
     def slab(theta):
         area = 16.0 * math.pi * math.sin(theta / 2.0) ** 2
-        rad2 = max(r * r - theta * theta, 0.0)
+        rad2 = max(r * r - a * a * theta * theta, 0.0)
         return area * (4.0 / 3.0) * math.pi * rad2 ** 1.5
 
-    val, err = integrate.quad(slab, 0.0, top, limit=200)
+    val, err = integrate.quad(slab, 0.0, top, limit=200, epsabs=0.0,
+                              epsrel=1e-12)
     return val, err
 
 

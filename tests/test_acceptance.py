@@ -23,7 +23,7 @@ from su2vol.volumes import (
     Hexagon, hexagon_area, vbar_H, vbar_g_doubling_bound,
 )
 from conftest import record_criterion
-from oracles import fd_jacobian, series_expm
+from oracles import ball_volume_isotropic, fd_jacobian, series_expm
 
 WORD_TOL = 1e-10
 EXACT_TOL = 1e-12
@@ -236,16 +236,27 @@ def test_criterion_6_sweep():
     sup_ok = (math.isfinite(summary["sup_doubling"])
               and summary["sup_doubling"] <= summary["envelope_bound"]
               and summary["doubling_ok"])
+    # a certified bracket pair can never say vol(2r) < vol(r)
+    n_invalid = sum(1 for row in rows if row["upper_2r"] < row["lower_r"])
+    # the a1 = a2 = a3, d = 0 cells have a quadrature value at r and 2r
+    iso = [(row[f"lower_{s}"], row[f"upper_{s}"],
+            ball_volume_isotropic(k * row["r"], row["a1"])[0])
+           for row in rows if row["a1"] == row["a3"] and row["d"] == 0.0
+           for s, k in (("r", 1.0), ("2r", 2.0))]
+    n_miss = sum(1 for lo, hi, exact in iso if not lo <= exact <= hi)
     elapsed = time.monotonic() - t0
     ok = (len(rows) == 700 and n_err == 0 and env_ok and vbar_ok
-          and sup_ok and elapsed < T_SWEEP)
+          and sup_ok and n_invalid == 0 and len(iso) == 50 and n_miss == 0
+          and elapsed < T_SWEEP)
     _finish(6, "doubling sweep", ok,
             f"{len(rows)} cells, sandwich [{summary['c_emp']:.2e}, "
             f"{summary['C_emp']:.2e}], sup doubling "
             f"{summary['sup_doubling']:.2e} <= envelope bound "
             f"{summary['envelope_bound']:.2e}, vbar ratio <= "
             f"{DOUBLING_BOUND:g} in every cell, "
-            f"{summary['low_confidence_cells']} low-confidence cells",
+            f"{summary['low_confidence_cells']} low-confidence cells, "
+            f"{n_invalid} cells with upper_2r < lower_r, {n_miss} of "
+            f"{len(iso)} isotropic brackets miss the quadrature value",
             elapsed)
 
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -9,8 +11,9 @@ from su2vol.algebra import (
     mul, reference_distance,
 )
 from su2vol.balls import (
-    FOUR_PI, SQRT8, SWEEP_COLUMNS, TWO_PI, OutOfRange, _certified_bounds,
-    _lambda_max, _minimal_angle_rep, _speed_floor, ball_volume,
+    ALPHA, FOUR_PI, SQRT8, SWEEP_COLUMNS, TWO_PI, OutOfRange,
+    _certified_bounds, _clopper_pearson, _invert_theta_mass, _lambda_max,
+    _minimal_angle_rep, _speed_floor, _theta_mass, ball_volume,
     distance_bracket, default_sweep_grid, sweep, word_upper_bound,
 )
 from su2vol.frames import euler_quat, path_length, segment_product
@@ -522,3 +525,92 @@ def test_ball_rejects_non_finite_bracket():
     m = from_parameters(1.0, 1.0, 1.0, 1e112)
     with pytest.raises(ValueError), np.errstate(all="ignore"):
         ball_volume(m, 0.1, 2000, seed=1)
+
+
+def test_ball_contains_isotropic_volume_in_fallback_mode():
+    # few samples hit these balls; the bracket must still contain the
+    # volume, not collapse onto the core-box mass
+    m = from_parameters(1.0, 1.0, 1.0, 0.0)
+    for r, eta in ((0.2, 0.1), (0.1, 0.05)):
+        exact, _ = ball_volume_isotropic(r)
+        vb = ball_volume(m, r, 10000, seed=1, eta=eta)
+        assert vb.mode == "fallback"
+        assert vb.lower <= exact <= vb.upper
+
+
+def test_ball_few_samples_never_zero_width():
+    # one or two draws give a wide bracket, not the core-box mass twice
+    m = from_parameters(1.0, 1.0, 1.0, 0.0)
+    for r, eta in ((0.1, 0.1), (0.2, 0.1), (0.1, 0.05)):
+        exact, _ = ball_volume_isotropic(r)
+        for n in (1, 2):
+            vb = ball_volume(m, r, n, seed=1, eta=eta)
+            assert vb.lower < vb.upper
+            assert vb.lower <= exact <= vb.upper
+
+
+def test_ball_contains_stretched_isotropic_volume():
+    for a, r in ((0.01, 0.5), (2.0, 0.3), (100.0, 1.0)):
+        exact, _ = ball_volume_isotropic(r, a)
+        vb = ball_volume(from_parameters(a, a, a, 0.0), r, 20000, seed=4)
+        assert vb.lower <= exact <= vb.upper
+
+
+def _theta_mass_reference(theta):
+    """theta - sin theta as the exactly summed sine series."""
+    return math.fsum((-1) ** k * theta ** (2 * k + 3)
+                     / math.factorial(2 * k + 3) for k in range(40))
+
+
+def test_theta_inversion_reaches_rounding_floor():
+    # near 2 pi the slope 1 - cos theta vanishes and plain Newton stalls
+    u = np.concatenate([np.linspace(0.0, 1.0, 401)[1:], [1e-12, 1.0 - 1e-12]])
+    for theta_m in (1e-6, 1e-2, 0.2, math.pi, TWO_PI):
+        mass_m = _theta_mass_reference(theta_m)
+        assert float(_theta_mass(theta_m)) == pytest.approx(mass_m,
+                                                            rel=1e-14)
+        c = u * float(_theta_mass(theta_m))
+        theta = _invert_theta_mass(c)
+        assert np.all((theta >= 0.0) & (theta <= theta_m * (1.0 + 1e-15)))
+        for t, target in zip(theta.tolist(), c.tolist()):
+            assert abs(_theta_mass_reference(t) - target) <= 1e-12 * target
+
+
+def test_theta_inversion_samples_rotation_angle_law():
+    # uniform draws of SU(2) restricted to theta <= theta_m have
+    # P(theta <= t) = (t - sin t) / (theta_m - sin theta_m); Kolmogorov-
+    # Smirnov at level 1e-3
+    rng = np.random.default_rng(59)
+    n = 20000
+    for theta_m in (1e-3, 1.0, TWO_PI):
+        theta = np.sort(_invert_theta_mass(
+            rng.random(n) * float(_theta_mass(theta_m))))
+        cdf = np.array([_theta_mass_reference(t) for t in theta.tolist()])
+        cdf /= _theta_mass_reference(theta_m)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf),
+                 np.max(cdf - np.arange(n) / n))
+        assert ks < 1.95 / math.sqrt(n)
+
+
+def test_clopper_pearson_closed_forms():
+    half = 0.5 * ALPHA
+    for n in (1, 2, 7, 1000, 200000):
+        lo, hi = _clopper_pearson(0, n)
+        assert lo == 0.0
+        assert hi == pytest.approx(-math.expm1(math.log(half) / n),
+                                   rel=1e-12)
+        lo, hi = _clopper_pearson(n, n)
+        assert hi == 1.0
+        assert lo == pytest.approx(half ** (1.0 / n), rel=1e-12)
+        for k in range(0, n + 1, max(1, n // 5)):
+            lo, hi = _clopper_pearson(k, n)
+            assert 0.0 <= lo <= k / n <= hi <= 1.0 and lo < hi
+
+
+def test_import_does_not_load_scipy_stats():
+    # importing scipy.stats costs most of a second of set-up time
+    code = ("import sys, su2vol; "
+            "sys.exit(int(any(m.startswith('scipy.stats') "
+            "for m in sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], timeout=120)
+    assert done.returncode == 0

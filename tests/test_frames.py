@@ -11,7 +11,8 @@ from su2vol.algebra import (
 )
 from su2vol.frames import (
     CollisionClass, ControlPath, Coordinates, GimbalLock, PathSegment,
-    adjoint_rotate, commutator_identity, euler_quat, frame_chart, jacobian,
+    adjoint_rotate, chart_angles, commutator_identity, euler_quat,
+    frame_chart, jacobian,
     mc_integrate, path_length, psi, psi_collision_classify,
     wrap_circle, word_factors, word_group_element,
 )
@@ -65,6 +66,25 @@ def test_euler_quat_vectorized():
         npt.assert_allclose([w[i], qx[i], qy[i], qz[i]], q, atol=1e-15)
     npt.assert_allclose(w ** 2 + qx ** 2 + qy ** 2 + qz ** 2, 1.0,
                         atol=1e-14)
+
+
+def test_chart_angles_round_trip_keeps_sign():
+    # the extraction alone may return the angles of -q; chart_angles must
+    # give back q itself, in the stored range
+    rng = np.random.default_rng(60)
+    q = rng.normal(size=(4000, 4))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    q[:5] = [[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1],
+             [-0.5, 0.5, -0.5, 0.5]]
+    assert np.any(q[:, 0] < 0.0) and np.any(q[:, 0] > 0.0)
+    x = np.stack(chart_angles(q), axis=1)
+    assert np.all((x > -TWO_PI) & (x <= TWO_PI))
+    assert np.all(np.abs(x[:, 1:]) <= math.pi)
+    npt.assert_allclose(np.stack(euler_quat(*x.T), axis=1), q, rtol=0.0,
+                        atol=1e-12)
+    for row in q[:50]:
+        npt.assert_allclose(euler_quat(*chart_angles(row)), row, rtol=0.0,
+                            atol=1e-12)
 
 
 def test_frame_chart_standard_metric_is_psi():
