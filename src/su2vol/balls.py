@@ -27,7 +27,7 @@ from .frames import (ControlPath, PathSegment, chart_angles,
                      commutator_identity, euler_quat, path_length,
                      segment_product, word_factors)
 from .metrics import DecoupledMetric, canonicalize, from_parameters
-from .volumes import (EstimatorInputs, Hexagon, Side, containment_sets,
+from .volumes import (EstimatorInputs, Side, containment_sets,
                       hexagon_area, hexagon_area_truncated, hexagon_contains,
                       linear_upper, m_rho, sample_hexagon, vbar_g,
                       vbar_g_doubling_bound)
@@ -488,11 +488,6 @@ def _invert_theta_mass(c):
     return np.where(upper, TWO_PI - theta, theta)
 
 
-def _outer_hexes(inp, rho, scale):
-    return [Hexagon(scale * rho[i], inp.r / inp.a[i], inp.r, inp.d)
-            for i in range(3)]
-
-
 def _hex_product_sample(hexes, n, rng):
     xs, ys = zip(*(sample_hexagon(h, n, rng) for h in hexes))
     return np.column_stack(xs), np.column_stack(ys)
@@ -565,17 +560,17 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     a = np.asarray(mc.a, dtype=float)
     d = mc.d
     inp = EstimatorInputs(r, tuple(a), d, eta)
-    _, rho = m_rho(inp)
     flags = []
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     bx, bu, cert_mass = _core_box(a, r)
 
-    plus = _outer_hexes(inp, rho, 1.25 * c_outer) if r <= eta * a[1] else []
+    plus = (containment_sets(inp, Side.OUTER, 1.25 * c_outer)[0]
+            if r <= eta * a[1] else [])
     hex_mode = bool(plus) and max(h.x_half_width for h in plus) <= EXTENT_CAP
     if hex_mode:
         mode = "hexagon"
-        std = _outer_hexes(inp, rho, c_outer)
+        std, _ = containment_sets(inp, Side.OUTER, c_outer)
         mass = float(np.prod([hexagon_area(h) for h in plus]))
 
         def draw(take):
@@ -696,7 +691,7 @@ def _mdd_empirical(a, d, r, eta, iota, seed):
 
 def sweep(grid=None, samples: int = 10000, seed: int = 0,
           eta: float = 0.1, iota: float = math.pi / 4,
-          c_outer: float = 8.0, m_dd: float = 6.0):
+          c_outer: float = 8.0):
     """Run the sandwich / doubling verification sweep.
 
     Returns {"rows": [...], "summary": {...}}; each row is an ordered dict
@@ -796,7 +791,7 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
                       else float("inf"))
     summary = {
         "cells": len(rows), "samples": samples, "seed": seed,
-        "eta": eta, "iota": iota, "c_outer": c_outer, "m_dd": m_dd,
+        "eta": eta, "iota": iota, "c_outer": c_outer,
         "c_emp": c_emp, "C_emp": c_high, "sup_doubling": sup_doubling,
         "calc_bound": calc_bound, "envelope_bound": envelope_bound,
         "doubling_ok": bool(sup_doubling <= envelope_bound),

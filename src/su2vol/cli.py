@@ -32,32 +32,28 @@ class ConfigError(Exception):
     pass
 
 
-_FLOAT_KEYS = ("eta", "iota", "c_outer", "m_dd", "a1", "a2", "a3", "d", "r",
-               "tol_word", "tol_adjoint", "tol_rodrigues", "tol_jacobian",
-               "tol_collision")
-_INT_KEYS = ("seed", "samples")
-_STR_KEYS = ("format", "out")
-_LIST_KEYS = ("a_grid", "d_grid", "r_grid")
+def _float_list(raw):
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+# every config key: its parser and its default
+_KEYS = {
+    "eta": (float, 0.1),
+    "iota": (float, math.pi / 4.0),
+    "c_outer": (float, 8.0),
+    "seed": (int, 0),
+    "samples": (int, 10000),
+    "format": (str, "csv"),
+    "out": (str, "."),
+    "a1": (float, 1.0), "a2": (float, 1.0), "a3": (float, 1.0),
+    "d": (float, 0.0), "r": (float, 0.1),
+    "a_grid": (_float_list, None), "d_grid": (_float_list, None),
+    "r_grid": (_float_list, None),
+}
 
 
 def default_config():
-    return {
-        "eta": 0.1,
-        "iota": math.pi / 4.0,
-        "c_outer": 8.0,
-        "m_dd": 6.0,
-        "seed": 0,
-        "samples": 10000,
-        "format": "csv",
-        "out": ".",
-        "a1": 1.0, "a2": 1.0, "a3": 1.0, "d": 0.0, "r": 0.1,
-        "a_grid": None, "d_grid": None, "r_grid": None,
-        "tol_word": 1e-10,
-        "tol_adjoint": 1e-12,
-        "tol_rodrigues": 1e-12,
-        "tol_jacobian": 1e-5,
-        "tol_collision": 0.0,
-    }
+    return {key: default for key, (_, default) in _KEYS.items()}
 
 
 def _parse_config_text(text):
@@ -74,18 +70,12 @@ def _parse_config_text(text):
 
 
 def _convert(key, raw):
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key: {key}")
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _STR_KEYS:
-            return raw
-        if key in _LIST_KEYS:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        return _KEYS[key][0](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    raise ConfigError(f"unknown config key: {key}")
 
 
 def load_config(args):
@@ -97,7 +87,7 @@ def load_config(args):
         for key, raw in _parse_config_text(path.read_text()).items():
             cfg[key] = _convert(key, raw)
     for key in ("seed", "samples", "out", "format"):
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     _validate_config(cfg)
@@ -178,6 +168,15 @@ def _emit(cfg, stem, header, rows, extra=None):
 
 
 # -- verify-identities -------------------------------------------------------
+
+# words and exact identities hold to rounding, the central-difference
+# Jacobian to its truncation error, and no collision pair may be misfiled
+_WORD_TOL = 1e-10
+_ADJOINT_TOL = 1e-12
+_RODRIGUES_TOL = 1e-12
+_JACOBIAN_TOL = 1e-5
+_COLLISION_TOL = 0.0
+
 
 def _word_residual(s, t, use_v=False, metric=None):
     f, _ = commutator_identity(s, t)
@@ -309,14 +308,13 @@ def cmd_verify_identities(cfg):
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     t0 = time.time()
     checks = [
-        ("word_grid", *_check_words_grid(), cfg["tol_word"]),
-        ("word_random", *_check_words_random(rng), cfg["tol_word"]),
-        ("word_tilted_frame", *_check_words_tilted(rng), cfg["tol_word"]),
-        ("adjoint_rotation", *_check_adjoint(rng), cfg["tol_adjoint"]),
-        ("exp_consistency", *_check_rodrigues(rng), cfg["tol_rodrigues"]),
-        ("chart_jacobian_fd", *_check_jacobian(rng), cfg["tol_jacobian"]),
-        ("collision_classifier", *_check_collisions(rng),
-         cfg["tol_collision"]),
+        ("word_grid", *_check_words_grid(), _WORD_TOL),
+        ("word_random", *_check_words_random(rng), _WORD_TOL),
+        ("word_tilted_frame", *_check_words_tilted(rng), _WORD_TOL),
+        ("adjoint_rotation", *_check_adjoint(rng), _ADJOINT_TOL),
+        ("exp_consistency", *_check_rodrigues(rng), _RODRIGUES_TOL),
+        ("chart_jacobian_fd", *_check_jacobian(rng), _JACOBIAN_TOL),
+        ("collision_classifier", *_check_collisions(rng), _COLLISION_TOL),
     ]
     rows = []
     failed = False
@@ -361,7 +359,7 @@ def _read_metric_file(path):
     return values.reshape(k, k)
 
 
-def cmd_reduce(cfg, metric_path):
+def cmd_reduce(metric_path):
     try:
         gram = _read_metric_file(metric_path)
         tensor = MetricTensor(gram)
@@ -449,7 +447,7 @@ def cmd_sweep(cfg):
         grid = default_sweep_grid()
     report = sweep(grid, samples=cfg["samples"], seed=cfg["seed"],
                    eta=cfg["eta"], iota=cfg["iota"],
-                   c_outer=cfg["c_outer"], m_dd=cfg["m_dd"])
+                   c_outer=cfg["c_outer"])
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "sweep_report.csv", cfg, SWEEP_COLUMNS,
@@ -477,12 +475,22 @@ def cmd_sweep(cfg):
 
 # -- entry point -------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--samples", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+_FLAG_OPTIONS = {
+    "config": {"help": "key=value config file"},
+    "seed": {"type": int},
+    "samples": {"type": int},
+    "out": {"help": "output directory"},
+    "format": {"choices": ("csv", "json")},
+}
+# the flags each subcommand reads; reduce reads only its metric file
+_COMMANDS = {
+    "verify-identities": (cmd_verify_identities,
+                          ("config", "seed", "out", "format")),
+    "estimate": (cmd_estimate, ("config", "out", "format")),
+    "ball-volume": (cmd_ball_volume,
+                    ("config", "seed", "samples", "out", "format")),
+    "sweep": (cmd_sweep, ("config", "seed", "samples", "out", "format")),
+}
 
 
 def main(argv=None):
@@ -490,32 +498,21 @@ def main(argv=None):
         prog="su2vol",
         description="volume doubling toolkit for left-invariant metrics")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify-identities", "estimate", "ball-volume", "sweep"):
-        _add_common(subs.add_parser(name))
-    reduce_p = subs.add_parser("reduce")
-    _add_common(reduce_p)
-    reduce_p.add_argument("metric_file", help="Gram matrix as CSV or JSON")
+    for name, (_, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name)
+        for flag in flags:
+            sub.add_argument(f"--{flag}", **_FLAG_OPTIONS[flag])
+    subs.add_parser("reduce").add_argument(
+        "metric_file", help="Gram matrix as CSV or JSON")
     args = parser.parse_args(argv)
+    if args.command == "reduce":
+        return cmd_reduce(args.metric_file)
     try:
         cfg = load_config(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.command == "verify-identities":
-            return cmd_verify_identities(cfg)
-        if args.command == "reduce":
-            return cmd_reduce(cfg, args.metric_file)
-        if args.command == "estimate":
-            return cmd_estimate(cfg)
-        if args.command == "ball-volume":
-            return cmd_ball_volume(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return 2
+    return _COMMANDS[args.command][0](cfg)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ from .algebra import (
 from .metrics import DecoupledMetric, from_parameters
 
 TWO_PI = 2.0 * math.pi
+# coordinate and group distances below this count as equal
+_COINCIDE_TOL = 1e-9
 
 
 class GimbalLock(Exception):
@@ -125,8 +127,7 @@ class CollisionClass(enum.Enum):
     DISTINCT = "Distinct"
 
 
-def psi_collision_classify(c1: Coordinates, c2: Coordinates,
-                           tol: float = 1e-9) -> CollisionClass:
+def psi_collision_classify(c1: Coordinates, c2: Coordinates) -> CollisionClass:
     """Classify a coordinate pair by how the chart identifies them.
 
     Lattice: x differs by 2*pi multiples componentwise and y matches (the
@@ -137,15 +138,15 @@ def psi_collision_classify(c1: Coordinates, c2: Coordinates,
     """
     dx = wrap_circle(c1.x - c2.x)
     dy = np.max(np.abs(c1.y - c2.y))
-    on_lattice = np.max(np.abs(dx - TWO_PI * np.round(dx / TWO_PI))) <= tol
-    if on_lattice and dy <= tol:
+    off_lattice = np.max(np.abs(dx - TWO_PI * np.round(dx / TWO_PI)))
+    if off_lattice <= _COINCIDE_TOL and dy <= _COINCIDE_TOL:
         return CollisionClass.LATTICE
     g1, g2 = psi(c1), psi(c2)
-    if dy <= tol:
+    if dy <= _COINCIDE_TOL:
         d_plus = g0_distance_between(g1, g2)
         d_minus = g0_distance_between(
             g1, GroupElement.from_quat(-g2.q, g2.vec))
-        if min(d_plus, d_minus) <= tol:
+        if min(d_plus, d_minus) <= _COINCIDE_TOL:
             return CollisionClass.HALF_PI_BRANCH
     return CollisionClass.DISTINCT
 

@@ -26,11 +26,11 @@ class InvalidParameters(Exception):
     pass
 
 
-def _check_spd(gram: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:
+def _check_spd(gram: np.ndarray) -> np.ndarray:
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise NotSPD(f"not square: shape {g.shape}")
-    if np.max(np.abs(g - g.T)) > tol * max(1.0, np.max(np.abs(g))):
+    if np.max(np.abs(g - g.T)) > _SYM_TOL * max(1.0, np.max(np.abs(g))):
         raise NotSPD("not symmetric")
     w = np.linalg.eigvalsh(0.5 * (g + g.T))
     if w[0] <= 0.0:

@@ -118,7 +118,7 @@ def _edge_crossings(const, slope, y0, y1, targets):
         k_lo = math.floor(min(k_a, k_b)) - 1
         k_hi = math.ceil(max(k_a, k_b)) + 1
         for k in range(k_lo, k_hi + 1):
-            y = (t - const + FOUR_PI * k) / slope
+            y = (t - const - FOUR_PI * k) / slope
             if y0 < y < y1:
                 out.append(y)
     return out

@@ -93,13 +93,17 @@ def hexagon_membership(mu_star, nu_star, xi_star, d, x, y):
     return False
 
 
-def hexagon_area_mc(mu_star, nu_star, xi_star, d, n, seed):
+def hexagon_area_mc(mu_star, nu_star, xi_star, d, n, seed,
+                    half_window=2.0 * math.pi):
     """Rejection-sampling area of the wrapped hexagon with a 1-sigma error.
 
-    Samples the bounding box [-min(X, 2 pi), min(X, 2 pi)] x [-Y, Y] on
-    the circle-strip and counts membership hits.
+    Samples the bounding box [-min(X, W), min(X, W)] x [-Y, Y] on the
+    circle-strip and counts membership hits; W = half_window <= 2 pi cuts
+    the circle to the window |x| <= W (the whole circle by default).  A
+    circle point |x| <= 2 pi beyond X has no lift within X, since X < 2 pi
+    there, so the box holds the whole windowed shape.
     """
-    X = min(mu_star + nu_star, 2.0 * math.pi)
+    X = min(mu_star + nu_star, half_window)
     Y = d * nu_star + xi_star
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-X, X, n)

@@ -6,6 +6,7 @@ import argparse
 
 import pytest
 
+import su2vol.cli
 from su2vol.cli import ConfigError, default_config, load_config, main
 from su2vol.metrics import from_parameters, metric_to_json
 
@@ -19,6 +20,9 @@ def test_default_config_validates():
     cfg = default_config()
     assert cfg["eta"] == pytest.approx(0.1)
     assert cfg["format"] == "csv"
+    assert list(cfg) == ["eta", "iota", "c_outer", "seed", "samples",
+                         "format", "out", "a1", "a2", "a3", "d", "r",
+                         "a_grid", "d_grid", "r_grid"]
 
 
 def _args(config=None, **kw):
@@ -51,13 +55,25 @@ def test_verify_identities_green(tmp_path, capsys):
     report = (tmp_path / "verify_identities.csv").read_text()
     assert report.startswith("#")
     assert "# seed=3" in report
-    assert "word_grid" in report
+    # seed 3 fixes every residual, so the rows are pinned
+    assert [ln for ln in report.splitlines() if not ln.startswith("#")] == [
+        "check,points,max_residual,tolerance,status",
+        "word_grid,2500,5.5511151231257827e-16,1e-10,pass",
+        "word_random,1000,5.9787339602818165e-16,1e-10,pass",
+        "word_tilted_frame,600,8.8817841970012523e-16,1e-10,pass",
+        "adjoint_rotation,1000,2.2204460492503131e-16,"
+        "9.9999999999999998e-13,pass",
+        "exp_consistency,1000,6.6657638364428094e-16,"
+        "9.9999999999999998e-13,pass",
+        "chart_jacobian_fd,100,1.3391452156708781e-10,"
+        "1.0000000000000001e-05,pass",
+        "collision_classifier,150,0,0,pass",
+    ]
 
 
-def test_verify_identities_tight_tolerance_fails(tmp_path):
-    cfg = _write(tmp_path / "tight.cfg", "tol_word=1e-16\n")
-    rc = main(["verify-identities", "--config", cfg, "--out",
-               str(tmp_path)])
+def test_verify_identities_tight_tolerance_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(su2vol.cli, "_WORD_TOL", 1e-16)
+    rc = main(["verify-identities", "--out", str(tmp_path)])
     assert rc == 1
 
 
@@ -162,11 +178,27 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     rc = main(["estimate", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "eta" in capsys.readouterr().err
-    # budget was parsed but never used; it is now an unknown key
-    cfg = _write(tmp_path / "budget.cfg", "budget=2\n")
-    rc = main(["estimate", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == 2
-    assert "unknown config key: budget" in capsys.readouterr().err
+    # keys that were parsed but never acted on are now unknown keys
+    for line in ("budget=2", "m_dd=6", "tol_word=1e-16", "tol_adjoint=1",
+                 "tol_rodrigues=1", "tol_jacobian=1", "tol_collision=0"):
+        cfg = _write(tmp_path / "old.cfg", line + "\n")
+        rc = main(["estimate", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        key = line.split("=")[0]
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--seed", "1", "m.csv"],
+    ["reduce", "--config", "c.cfg", "m.csv"],
+    ["estimate", "--samples", "5"],
+    ["estimate", "--seed", "5"],
+    ["verify-identities", "--samples", "5"],
+])
+def test_unread_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

@@ -68,6 +68,19 @@ def test_area_matches_mc_oracle():
         assert abs(exact - est) < 3.0 * sigma + 1e-12
 
 
+def test_window_area_matches_mc_oracle():
+    # slanted edges that sweep past several 4 pi periods cross the window
+    # edges many times; each crossing is a breakpoint of the integrand
+    pulls = []
+    for i, shape in enumerate(SHAPES):
+        for w in (math.pi / 4.0, 1.0):
+            exact = hexagon_area_window(Hexagon(*shape), w)
+            est, sigma = hexagon_area_mc(*shape, n=200000, seed=300 + i,
+                                         half_window=w)
+            pulls.append((shape, w, (exact - est) / sigma))
+            assert abs(exact - est) < 4.0 * sigma + 1e-12, pulls[-1]
+
+
 def test_area_wide_slanted_shapes_vs_mc():
     # saturation splits inside slanted patches are the tricky paths
     rng = np.random.default_rng(41)
