@@ -25,9 +25,9 @@ from .algebra import (AlgebraElement, GroupElement, angle_axis, exp_group,
                       g0_distance_between, mul)
 from .frames import (ControlPath, PathSegment, chart_angles,
                      commutator_identity, euler_quat, path_length,
-                     segment_product, word_factors)
+                     segment_product, word_factors, word_rows)
 from .metrics import DecoupledMetric, canonicalize, from_parameters
-from .volumes import (EstimatorInputs, Side, containment_sets,
+from .volumes import (EstimatorInputs, OutOfRegime, Side, containment_sets,
                       hexagon_area, hexagon_area_truncated, hexagon_contains,
                       linear_upper, m_rho, sample_hexagon, vbar_g,
                       vbar_g_doubling_bound)
@@ -75,60 +75,43 @@ def _solve_word_angle(phi, t):
     return math.copysign(s, phi)
 
 
-def _first_order_factors(j, k, i, eps, sigma, s_cap, t_cap):
-    """Factors realizing e^{sigma u_i} from j- and k-rotations only.
-
-    The bracket of the (j, k) pair is eps * u_i; repeats keep every
-    rotation within the caps.
-    """
-    if sigma == 0.0:
-        return []
-    f_target = eps * sigma
+def _repeated_word(A, B, i, phi, s_cap, t_cap):
+    """(word, n_rep): n_rep copies of the 7-factor word on axes (A, B, i)
+    realize e^{phi [u_A, u_B]}, which is e^{+-phi u_i}, with the A-turn
+    within min(s_cap, pi) and the B-turn at min(t_cap, pi / 2).  None
+    when the word would repeat more than MAX_WORD_REPEATS times."""
+    if phi == 0.0:
+        return [], 1
     t = min(t_cap, 0.5 * math.pi)
-    s_hi = min(s_cap, math.pi)
-    f_max, _ = commutator_identity(s_hi, t)
-    n_rep = max(1, math.ceil(abs(f_target) / f_max))
-    s = _solve_word_angle(f_target / n_rep, t)
-    return list(word_factors(s, t, (j, k, i))) * n_rep
+    f_max, _ = commutator_identity(min(s_cap, math.pi), t)
+    if not f_max > 0.0 or abs(phi) / f_max > MAX_WORD_REPEATS:
+        return None
+    n_rep = max(1, math.ceil(abs(phi) / f_max))
+    return word_factors(_solve_word_angle(phi / n_rep, t), t, (A, B, i)), n_rep
 
 
-def _second_order_factors(outer_a, expand_axis, target, eps_outer,
-                          inner_pair, eps_inner, sigma, caps):
-    """Factors for e^{sigma u_target} where the expand_axis rotations are
-    themselves produced by inner words on inner_pair."""
-    if sigma == 0.0:
-        return []
-    ia, ib = inner_pair
-    inner_s = min(caps[ia], math.pi)
-    inner_t = min(caps[ib], 0.5 * math.pi)
-    reach, _ = commutator_identity(inner_s, inner_t)
-    t_cap = min(0.999 * reach, 0.5 * math.pi)
-    s_cap = min(caps[outer_a], math.pi)
-    f_max, _ = commutator_identity(s_cap, t_cap)
-    f_target = eps_outer * sigma
-    n_rep = max(1, math.ceil(abs(f_target) / f_max))
-    s = _solve_word_angle(f_target / n_rep, t_cap)
-    outer = list(word_factors(s, t_cap, (outer_a, expand_axis, target)))
+def _second_order_factors(A, B, i, eps, sigma, caps):
+    """Factors for e^{sigma u_i} from an outer word on (A, B), whose bracket
+    is eps u_i, where each B-rotation is itself an inner word on (A, i),
+    whose bracket is -eps u_B."""
+    inner_t = min(caps[i], 0.5 * math.pi)
+    reach, _ = commutator_identity(min(caps[A], math.pi), inner_t)
+    outer, n_rep = (_repeated_word(A, B, i, eps * sigma, caps[A],
+                                   0.999 * reach) or ([], 0))
     expanded = []
     for axis, angle in outer:
-        if axis != expand_axis or angle == 0.0:
+        if axis != B or angle == 0.0:
             expanded.append((axis, angle))
             continue
-        f_inner = eps_inner * angle
-        s_in = _solve_word_angle(f_inner, inner_t)
-        expanded.extend(word_factors(s_in, inner_t, (ia, ib, expand_axis)))
+        s_in = _solve_word_angle(-eps * angle, inner_t)
+        expanded.extend(word_factors(s_in, inner_t, (A, i, B)))
     return expanded * n_rep
 
 
-def _factors_to_path(factors):
-    segments = []
-    for axis, angle in factors:
-        if angle == 0.0:
-            continue
-        alpha = np.zeros(3)
-        alpha[axis] = math.copysign(1.0, angle)
-        segments.append(PathSegment(abs(angle), alpha, np.zeros(3)))
-    return ControlPath(segments)
+def _word_gap(m, i, phi, rows):
+    """g0 distance between the endpoint of rows and e^{phi u_i}."""
+    target = exp_group(AlgebraElement(phi * m.u_columns()[:, i]))
+    return g0_distance_between(segment_product(m, rows), target)
 
 
 def word_upper_bound(m: DecoupledMetric, axis: int, sigma: float,
@@ -155,18 +138,18 @@ def word_upper_bound(m: DecoupledMetric, axis: int, sigma: float,
     cap_b = caps[i] * caps[j] ** 2
     part_b = float(np.clip(rem, -cap_b, cap_b))
     part_c = rem - part_b
-    factors = _first_order_factors(j, k, i, 1.0, part_a, caps[j], caps[k])
-    factors += _second_order_factors(j, k, i, 1.0, (j, i), -1.0,
-                                     part_b, caps)
-    factors += _second_order_factors(k, j, i, -1.0, (k, i), 1.0,
-                                     part_c, caps)
-    path = _factors_to_path(factors)
-    target = exp_group(AlgebraElement(sigma * m.u_columns()[:, i]))
-    residual = g0_distance_between(segment_product(m, path.segments),
-                                   target)
+    # a word that would repeat too often is left out, and the residual
+    # check below rejects the path
+    word, n_rep = (_repeated_word(j, k, i, part_a, caps[j], caps[k])
+                   or ([], 0))
+    factors = word * n_rep
+    factors += _second_order_factors(j, k, i, 1.0, part_b, caps)
+    factors += _second_order_factors(k, j, i, -1.0, part_c, caps)
+    rows = word_rows(factors, 0.0)
+    residual = _word_gap(m, i, sigma, rows)
     if residual > 1e-8:
         raise OutOfRange(f"word construction residual {residual:.3g}")
-    return path
+    return ControlPath([PathSegment(*row) for row in rows])
 
 
 # -- vectorized certified bounds ---------------------------------------------
@@ -191,11 +174,6 @@ def _axis_word_cost(a, i, phi):
     return np.where(phi > 0.0, np.minimum(*costs), 0.0)
 
 
-def _minimal_angle_rep(x):
-    alt = x - FOUR_PI * np.sign(x)
-    return np.where(np.abs(x) <= np.abs(alt), x, alt)
-
-
 def _speed_floor(a_min, d, theta, y_norm):
     """Certified lower bound on the distance to rotation angle theta and
     central norm y_norm (arrays or scalars, d >= 0).  Speed is at least
@@ -218,14 +196,15 @@ def _lambda_max(a, d):
 def _certified_bounds(a, d, xs, ys):
     """(lower bound, upper bound) per sample.
 
-    xs are chart angles in the metric's own frame, ys central coordinates
-    in the orthonormal f-frame; both (n, 3).  The lower bound is the speed
-    floor.  The upper bound is the shortest of ten path lengths: the two
-    straight-log branches, and the eight chart-ordered paths that turn
-    each axis i by nu_i (the minimal representative of x_i) either
-    directly, at cost a_i |nu_i| with central drift d nu_i, or by a
-    balanced word of cost _axis_word_cost and no drift, and then close the
-    central residual y - drift in a straight line.
+    xs are chart angles in the metric's own frame, each in [-2 pi, 2 pi]
+    and so its own minimal representative on the 4 pi circle; ys are
+    central coordinates in the orthonormal f-frame; both (n, 3).  The
+    lower bound is the speed floor.  The upper bound is the shortest of
+    ten path lengths: the two straight-log branches, and the eight
+    chart-ordered paths that turn each axis i by x_i either directly, at
+    cost a_i |x_i| with central drift d x_i, or by a balanced word of cost
+    _axis_word_cost and no drift, and then close the central residual
+    y - drift in a straight line.
 
     The work is on per-axis columns: each axis's two (cost, squared
     residual) choices are computed once, and every candidate is
@@ -255,9 +234,8 @@ def _certified_bounds(a, d, xs, ys):
     # drift d nu_i where it is set
     choices = []
     for i in range(3):
-        nu = _minimal_angle_rep(x[i])
-        choices.append(((_axis_word_cost(a, i, nu), y_sq[i]),
-                        (np.abs(nu) * a[i], (y[i] - d * nu) ** 2)))
+        choices.append(((_axis_word_cost(a, i, x[i]), y_sq[i]),
+                        (np.abs(x[i]) * a[i], (y[i] - d * x[i]) ** 2)))
     for mask in range(8):
         (c0, s0), (c1, s1), (c2, s2) = (choices[i][(mask >> i) & 1]
                                         for i in range(3))
@@ -309,21 +287,18 @@ def _coordinate_candidates(m, p):
     words = [_word_factors_free(a, axis, nu[axis]) for axis in range(3)]
     out = []
     for mask in range(8):
-        segments = []
+        factors = []
         drift = np.zeros(3)
         for axis in (2, 1, 0):
-            ang = nu[axis]
-            if ang == 0.0:
-                continue
             if (mask >> axis) & 1:
-                factors = [(axis, ang)]
-                drift[axis] += m.d * ang
+                factors.append((axis, nu[axis]))
+                drift[axis] += m.d * nu[axis]
+            elif words[axis] is None:
+                break
             else:
-                factors = words[axis]
-                if factors is None:
-                    break
-            segments.extend(_factors_to_path(factors).segments)
+                factors.extend(words[axis])
         else:
+            segments = [PathSegment(*row) for row in word_rows(factors, 0.0)]
             beta = y_f - drift
             if np.linalg.norm(beta) > 0.0:
                 segments.append(PathSegment(1.0, np.zeros(3), beta))
@@ -341,21 +316,19 @@ def _word_factors_free(a, i, phi):
     best_cost = np.inf
     for A, B in ((j, k), (k, j)):
         ca, cb = 2.0 * a[A], 3.0 * a[B]
-        s_cap = min(math.sqrt(SQRT8 * abs(phi) * cb / ca), math.pi)
-        t_cap = min(math.sqrt(SQRT8 * abs(phi) * ca / cb), 0.5 * math.pi)
-        if s_cap <= 0.0 or t_cap <= 0.0:
-            continue
         eps = 1.0 if (A, B) == (j, k) else -1.0
-        f_max, _ = commutator_identity(s_cap, t_cap)
-        if f_max <= 0.0 or abs(phi) / f_max > MAX_WORD_REPEATS:
+        found = _repeated_word(A, B, i, eps * phi,
+                               math.sqrt(SQRT8 * abs(phi) * cb / ca),
+                               math.sqrt(SQRT8 * abs(phi) * ca / cb))
+        if found is None:
             continue
-        n_rep = max(1, math.ceil(abs(phi) / f_max))
-        s = _solve_word_angle(eps * phi / n_rep, t_cap)
-        factors = list(word_factors(s, t_cap, (A, B, i))) * n_rep
-        cost = n_rep * (ca * abs(s) + cb * t_cap)
+        word, n_rep = found
+        # the word's B-turn t and A-turn -s, its third and fourth factors
+        (_, t), (_, s) = word[2], word[3]
+        cost = n_rep * (ca * abs(s) + cb * t)
         if cost < best_cost:
             best_cost = cost
-            best = factors
+            best = word * n_rep
     return best
 
 
@@ -498,11 +471,12 @@ def _core_box(a, r):
     |x_i| <= bx_i and |y - d x| <= bu.  Rotating straight to x costs
     sum a_i |x_i| <= r/2, cancelling u = y - d x costs |u| <= r/3; extents
     stay below pi/2, so the chart is injective and the box's reference
-    mass is its chart integral of |cos x2|."""
+    mass is its chart integral of |cos x2|, inf where it overflows (a
+    float64 power, unlike Python's, does not raise)."""
     bx = np.minimum(r / (6.0 * a), EXTENT_CAP)
     bu = r / (3.0 * math.sqrt(3.0))
     return bx, bu, float(4.0 * bx[0] * bx[2] * 2.0 * math.sin(bx[1])
-                         * (2.0 * bu) ** 3)
+                         * np.float64(2.0 * bu) ** 3)
 
 
 def _clopper_pearson(k, n):
@@ -663,9 +637,7 @@ def _word_spot_residual(m, r, eta):
     s = 0.9 * min(caps[0], math.pi)
     t = 0.9 * min(caps[1], 0.5 * math.pi)
     f, _ = commutator_identity(s, t)
-    path = _factors_to_path(word_factors(s, t, (0, 1, 2)))
-    target = exp_group(AlgebraElement(f * m.u_columns()[:, 2]))
-    return g0_distance_between(segment_product(m, path.segments), target)
+    return _word_gap(m, 2, f, word_rows(word_factors(s, t, (0, 1, 2)), 0.0))
 
 
 def _mdd_empirical(a, d, r, eta, iota, seed):
@@ -746,7 +718,7 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
                                                   c_outer)
                 outer_mass = float(np.prod(
                     [hexagon_area(h) for h in outer_hexes]))
-            except Exception:
+            except OutOfRegime:
                 outer_mass = float("nan")
                 flags.append("outer_regime_gate")
             row.update({

@@ -22,8 +22,9 @@ from .balls import SWEEP_COLUMNS, ball_volume, default_sweep_grid, sweep
 from .frames import (CollisionClass, Coordinates, adjoint_rotate,
                      commutator_identity, jacobian, psi,
                      psi_collision_classify, word_group_element)
-from .metrics import (MetricTensor, NotSPD, canonicalize, decoupled_to_json,
-                      from_parameters, reduce_to_decoupled)
+from .metrics import (InvalidParameters, MetricTensor, NotSPD, canonicalize,
+                      decoupled_to_json, from_parameters,
+                      reduce_to_decoupled)
 from .volumes import (EstimatorInputs, linear_upper, m_rho, vbar_g,
                       vbar_g_doubling_bound)
 
@@ -178,33 +179,30 @@ _JACOBIAN_TOL = 1e-5
 _COLLISION_TOL = 0.0
 
 
-def _word_residual(s, t, use_v=False, metric=None):
+def _word_residual(s, t, metric, use_v=False):
     f, _ = commutator_identity(s, t)
     got = word_group_element(s, t, (0, 1, 2), use_v=use_v, m=metric)
-    if metric is None:
-        coeffs = np.zeros(6)
-        coeffs[2] = f
-    else:
-        coeffs = f * metric.u_columns()[:, 2]
-    want = exp_group(AlgebraElement(coeffs))
+    want = exp_group(AlgebraElement(f * metric.u_columns()[:, 2]))
     return max(float(np.max(np.abs(got.su2 - want.su2))),
                float(np.max(np.abs(got.vec - want.vec))))
 
 
 def _check_words_grid():
+    standard = from_parameters(1.0, 1.0, 1.0, 0.0)
     worst = 0.0
     for s in np.linspace(-math.pi, math.pi, 50):
         for t in np.linspace(-math.pi / 2.0, math.pi / 2.0, 50):
-            worst = max(worst, _word_residual(float(s), float(t)))
+            worst = max(worst, _word_residual(float(s), float(t), standard))
     return worst, 2500
 
 
 def _check_words_random(rng):
+    standard = from_parameters(1.0, 1.0, 1.0, 0.0)
     worst = 0.0
     for _ in range(1000):
         s = float(rng.uniform(-math.pi, math.pi))
         t = float(rng.uniform(-math.pi / 2.0, math.pi / 2.0))
-        worst = max(worst, _word_residual(s, t))
+        worst = max(worst, _word_residual(s, t, standard))
     return worst, 1000
 
 
@@ -216,8 +214,7 @@ def _check_words_tilted(rng):
         for _ in range(200):
             s = float(rng.uniform(-math.pi, math.pi))
             t = float(rng.uniform(-math.pi / 2.0, math.pi / 2.0))
-            worst = max(worst, _word_residual(s, t, use_v=True,
-                                              metric=metric))
+            worst = max(worst, _word_residual(s, t, metric, use_v=True))
             count += 1
     return worst, count
 
@@ -419,9 +416,14 @@ def cmd_estimate(cfg):
 
 def cmd_ball_volume(cfg):
     a_sorted = tuple(sorted((cfg["a1"], cfg["a2"], cfg["a3"])))
-    metric = from_parameters(a_sorted[0], a_sorted[1], a_sorted[2], cfg["d"])
-    vb = ball_volume(metric, cfg["r"], cfg["samples"], cfg["seed"],
-                     cfg["eta"], cfg["c_outer"])
+    try:
+        metric = from_parameters(a_sorted[0], a_sorted[1], a_sorted[2],
+                                 cfg["d"])
+        vb = ball_volume(metric, cfg["r"], cfg["samples"], cfg["seed"],
+                         cfg["eta"], cfg["c_outer"])
+    except (InvalidParameters, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     row = {
         "a1": a_sorted[0], "a2": a_sorted[1], "a3": a_sorted[2],
         "d": cfg["d"], "r": cfg["r"],

@@ -187,26 +187,35 @@ def word_factors(s: float, t: float, axes=(0, 1, 2)):
             (k, -t), (j, 0.5 * s), (k, tau)]
 
 
+def word_rows(factors, shift: float):
+    """(|amount|, sign(amount) e_axis, shift sign(amount) e_axis) rows, as
+    Python floats, of the (axis, amount) factors with nonzero amount."""
+    rows = []
+    for axis, amount in factors:
+        if amount != 0.0:
+            alpha = [0.0, 0.0, 0.0]
+            alpha[axis] = math.copysign(1.0, amount)
+            rows.append((abs(amount), alpha, [shift * e for e in alpha]))
+    return rows
+
+
 def word_group_element(s: float, t: float, axes=(0, 1, 2),
                        use_v: bool = False,
                        m: DecoupledMetric | None = None) -> GroupElement:
     """Evaluate the commutator word as an exact group product.
 
-    Each factor exp(amount*u_axis) is a segment of duration amount: with
-    controls alpha = e_axis, beta = -d e_axis it moves along the metric's
-    u_axis (the reference u_axis without a metric).  With use_v, beta = 0
-    and the factor becomes exp(amount*v_axis) for v_i = u_i + d f_i; the
-    central contributions cancel since the word's net amount per axis is
-    zero.
+    Each factor exp(amount*u_axis) is a segment along the metric's u_axis
+    (the reference u_axis without a metric): beta = -d alpha cancels the
+    central part of v_axis = u_axis + d f_axis.  With use_v, beta = 0 and
+    the factor becomes exp(amount*v_axis); the central contributions
+    cancel since the word's net amount per axis is zero.
     """
     if use_v and m is None:
         raise ValueError("v-variant needs a metric")
     if m is None:
         m = from_parameters(1.0, 1.0, 1.0, 0.0)
-    basis = np.eye(3)
-    shift = 0.0 if use_v else -m.d
-    return segment_product(m, [(amount, basis[axis], shift * basis[axis])
-                               for axis, amount in word_factors(s, t, axes)])
+    return segment_product(m, word_rows(word_factors(s, t, axes),
+                                        0.0 if use_v else -m.d))
 
 
 # -- Maurer-Cartan ODE ------------------------------------------------------

@@ -327,13 +327,14 @@ def m_rho(inp: EstimatorInputs):
 
 
 def vbar_g(inp: EstimatorInputs) -> float:
-    """Three-factor closed-form volume estimator."""
+    """Three-factor closed-form volume estimator; inf where it overflows
+    (a float64 power, unlike Python's, does not raise)."""
     _, rho = m_rho(inp)
     out = 1.0
     for i in range(3):
         a_i = inp.a[i]
         out *= min(inp.d * rho[i] * inp.r / a_i + rho[i] * inp.r
-                   + inp.r**2 / a_i,
+                   + np.float64(inp.r) ** 2 / a_i,
                    inp.d * inp.r / a_i + inp.r)
     return out
 

@@ -13,7 +13,7 @@ from su2vol.algebra import (
 from su2vol.balls import (
     ALPHA, FOUR_PI, SQRT8, SWEEP_COLUMNS, TWO_PI, OutOfRange,
     _certified_bounds, _clopper_pearson, _invert_theta_mass, _lambda_max,
-    _minimal_angle_rep, _speed_floor, _theta_mass, ball_volume,
+    _speed_floor, _theta_mass, ball_volume,
     distance_bracket, default_sweep_grid, sweep, word_upper_bound,
 )
 from su2vol.frames import euler_quat, path_length, segment_product
@@ -77,14 +77,14 @@ def _bounds_8_masks(a, d, xs, ys):
                        + np.sum(beta ** 2, axis=1))
         upper = np.minimum(upper, cost)
 
-    nu = _minimal_angle_rep(xs)
-    direct = np.abs(nu) * a[None, :]
-    word = np.stack([_word_cost_clipped(a, i, nu[:, i]) for i in range(3)],
+    # every |x_i| <= 2 pi, so each angle is its own minimal representative
+    direct = np.abs(xs) * a[None, :]
+    word = np.stack([_word_cost_clipped(a, i, xs[:, i]) for i in range(3)],
                     axis=1)
     for mask in range(8):
         sel = np.array([(mask >> i) & 1 for i in range(3)], dtype=bool)
         rot_cost = np.sum(np.where(sel[None, :], direct, word), axis=1)
-        drift = d * nu * sel[None, :]
+        drift = d * xs * sel[None, :]
         trans = np.linalg.norm(ys - drift, axis=1)
         upper = np.minimum(upper, rot_cost + trans)
     return lower, upper
@@ -138,6 +138,11 @@ def test_word_rejects_beyond_budget():
     rho = _rho(m, 0.1)
     with pytest.raises(OutOfRange):
         word_upper_bound(m, 2, 1.5 * rho[2], 0.1)
+    # with caps of 200 the words would repeat more than MAX_WORD_REPEATS
+    # times: rejected at once instead of built
+    rho = _rho(m, 200.0, eta=200.0)
+    with pytest.raises(OutOfRange):
+        word_upper_bound(m, 2, rho[2], 200.0, eta=200.0)
 
 
 def test_word_length_scales_with_radius():
@@ -148,6 +153,39 @@ def test_word_length_scales_with_radius():
         path = word_upper_bound(m, 2, rho[2], r)
         mprime = path_length(m, path) / r
         assert mprime < 100.0
+
+
+# (a, d, r) -> segment count and length of word_upper_bound(m, 2, rho_3,
+# r), then of the distance_bracket(budget=0) witness to _shape_target
+_WORD_SHAPES = [
+    (((0.1, 1.0, 10.0), 0.0, 0.01), (138, 0.8397181884229503),
+     (2, 0.010818049778033011)),
+    (((1.0, 1.0, 1.0), 100.0, 0.1), (138, 8.396672869743048),
+     (23, 2.3737467508830044)),
+    (((0.1, 0.1, 10.0), 100.0, 1.0), (138, 48.34734284498015),
+     (72, 58.63340342219444)),
+]
+
+
+def _shape_target(a, r, rho3):
+    return exp_group(AlgebraElement(np.array(
+        [0.3 * r / a[0], -0.2 * r / a[1], rho3, 0.1 * r, 0.0, -0.1 * r])))
+
+
+@pytest.mark.parametrize("cell, word, witness", _WORD_SHAPES)
+def test_word_and_witness_shapes_are_pinned(cell, word, witness):
+    # the exact words the constructions build: a refactor of the word
+    # builder must reproduce both the segment count and the length
+    a, d, r = cell
+    m = from_parameters(*a, d)
+    rho = _rho(m, r)
+    path = word_upper_bound(m, 2, rho[2], r)
+    assert len(path.segments) == word[0]
+    assert path_length(m, path) == pytest.approx(word[1], rel=1e-12)
+    db = distance_bracket(m, _shape_target(a, r, rho[2]), budget=0)
+    assert len(db.witness.segments) == witness[0]
+    assert path_length(m, db.witness) == pytest.approx(witness[1],
+                                                       rel=1e-12)
 
 
 def _random_rows(rng, n):
@@ -437,6 +475,17 @@ def test_sweep_error_rows_do_not_abort():
         assert list(row) == list(SWEEP_COLUMNS)
 
 
+def test_sweep_outer_regime_gate_is_not_an_error():
+    # r > eta * a2: the outer containment sets do not apply, which the
+    # cell records as a flag and a NaN outer mass, not as an error
+    grid = [{"a": (1.0, 1.0, 1.0), "d": 0.0, "r": 0.5}]
+    row = sweep(grid, samples=1000, seed=3)["rows"][0]
+    assert "outer_regime_gate" in row["flags"].split(";")
+    assert "error:" not in row["flags"]
+    assert math.isnan(row["outer_mass"])
+    assert row["upper_r"] > 0.0
+
+
 def test_sweep_deterministic():
     grid = [{"a": (1.0, 2.0, 4.0), "d": 1.0, "r": 0.05}]
     o1 = sweep(grid, samples=2500, seed=9)
@@ -525,6 +574,14 @@ def test_ball_rejects_non_finite_bracket():
     m = from_parameters(1.0, 1.0, 1.0, 1e112)
     with pytest.raises(ValueError), np.errstate(all="ignore"):
         ball_volume(m, 0.1, 2000, seed=1)
+
+
+def test_ball_rejects_radius_whose_box_overflows():
+    # the core box mass (2 bu)^3 overflows near r = 1.5e103; the bracket
+    # is not finite, which is a ValueError and not an OverflowError
+    m = from_parameters(1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError), np.errstate(all="ignore"):
+        ball_volume(m, 1e200, 1000, seed=1)
 
 
 def test_ball_contains_isotropic_volume_in_fallback_mode():

@@ -4,6 +4,7 @@ import sys
 
 import argparse
 
+import numpy as np
 import pytest
 
 import su2vol.cli
@@ -133,6 +134,19 @@ def test_ball_volume_single_cell(tmp_path):
     # either layout carries the bracket
     text = json.dumps(doc)
     assert "lower" in text and "upper" in text
+
+
+def test_ball_volume_rejected_values_exit_2(tmp_path, capsys):
+    # a1 = 1e-300 is rejected by the metric, r = 1e200 by ball_volume
+    for text in ("a1=1e-300\nr=0.1\nsamples=100\n",
+                 "r=1e200\nsamples=100\n"):
+        cfg = _write(tmp_path / "b.cfg", text)
+        with np.errstate(all="ignore"):
+            rc = main(["ball-volume", "--config", cfg, "--out",
+                       str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_sweep_small_and_byte_identical(tmp_path):

@@ -14,7 +14,7 @@ from su2vol.frames import (
     adjoint_rotate, chart_angles, commutator_identity, euler_quat,
     frame_chart, jacobian,
     mc_integrate, path_length, psi, psi_collision_classify,
-    wrap_circle, word_factors, word_group_element,
+    wrap_circle, word_factors, word_group_element, word_rows,
 )
 from su2vol.metrics import from_parameters
 from oracles import fd_jacobian, series_expm
@@ -195,6 +195,17 @@ def test_tau_branch_bound():
     t = rng.uniform(-math.pi, math.pi, 500)
     _, tau = commutator_identity(s, t)
     assert np.all(np.abs(tau) <= 0.5 * np.abs(t) + 1e-12)
+
+
+def test_word_rows_encode_factors():
+    # |amount| along sign(amount) e_axis, beta = shift * alpha, zero
+    # amounts dropped, all Python floats
+    rows = word_rows([(2, -0.5), (0, 0.0), (1, 0.25)], -3.0)
+    assert rows == [(0.5, [0.0, 0.0, -1.0], [-0.0, -0.0, 3.0]),
+                    (0.25, [0.0, 1.0, 0.0], [-0.0, -3.0, -0.0])]
+    assert all(type(x) is float for _, alpha, beta in rows
+               for x in alpha + beta)
+    assert word_rows([], 1.0) == []
 
 
 def _word_residual(s, t, axes, use_v=False, m=None):

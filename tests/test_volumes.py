@@ -279,6 +279,14 @@ def test_doubling_malformed_trees():
         doubling_calculus(E("comparable", (E.monotone(),), value=-1.0))
 
 
+def test_vbar_g_overflows_to_inf():
+    # r^2 overflows near r = 1.3e154; the estimator reads inf, not an
+    # OverflowError
+    with np.errstate(over="ignore"):
+        assert vbar_g(EstimatorInputs(1e200, (1.0, 1.0, 1.0), 0.0,
+                                      0.1)) == math.inf
+
+
 def test_vbar_tree_bound_frozen():
     assert vbar_g_doubling_bound() == 4096.0
     assert doubling_calculus(vbar_g_doubling_tree()) == 4096.0
