@@ -42,6 +42,10 @@ ALPHA = 0.01  # volume brackets hold at two-sided level 1 - ALPHA
 # longest word repetition a distance candidate may use; beyond it the axis
 # is only turned directly (a tiny stretch would need astronomically many)
 MAX_WORD_REPEATS = 1e4
+# ball_volume draws CHUNK samples per generator call, which fixes the random
+# stream, and classifies them in cache-sized BLOCKs
+CHUNK = 1 << 17
+BLOCK = 1 << 14
 
 
 class OutOfRange(Exception):
@@ -193,7 +197,7 @@ def _lambda_max(a, d):
     return math.sqrt(0.5 * (s + math.sqrt((s - 2.0 * a) * (s + 2.0 * a))))
 
 
-def _certified_bounds(a, d, xs, ys):
+def _certified_bounds(a, d, xs, ys, r=math.inf):
     """(lower bound, upper bound) per sample.
 
     xs are chart angles in the metric's own frame, each in [-2 pi, 2 pi]
@@ -211,6 +215,14 @@ def _certified_bounds(a, d, xs, ys):
     (c0 + c1) + c2 + sqrt((s0 + s1) + s2).  That is the left-to-right
     order of numpy's 3-wide axis-1 sums, so the bounds equal those of the
     (n, 3) formulation bit for bit.
+
+    Rows whose residual floor sqrt((m0 + m1) + m2), m_i the smaller of
+    axis i's two squared residuals, exceeds r skip the eight candidates
+    and keep the straight-log minimum, a real path's length and > r.  The
+    gate is exact: every candidate's s_i >= m_i and its cost sum is
+    >= 0, and rounded addition and sqrt are monotone, so no skipped
+    candidate is <= r.  Lower bounds and (upper <= r) are those of the
+    ungated bounds; at r = inf every row takes the candidates.
     """
     a = np.asarray(a, dtype=float)
     x, y = xs.T, ys.T
@@ -229,18 +241,26 @@ def _certified_bounds(a, d, xs, ys):
                        + ((beta[0] + beta[1]) + beta[2]))
         np.minimum(upper, cost, out=upper)
 
+    drifted = [(y[i] - d * x[i]) ** 2 for i in range(3)]
+    rows = slice(None)
+    if r < math.inf:
+        least = [np.minimum(y_sq[i], drifted[i]) for i in range(3)]
+        rows = ~(np.sqrt((least[0] + least[1]) + least[2]) > r)
     # axis i's (rotation cost, squared central residual): the word and no
     # drift where bit i of the mask is clear, the direct turn and its
     # drift d nu_i where it is set
     choices = []
     for i in range(3):
-        choices.append(((_axis_word_cost(a, i, x[i]), y_sq[i]),
-                        (np.abs(x[i]) * a[i], (y[i] - d * x[i]) ** 2)))
+        x_i = x[i][rows]
+        choices.append(((_axis_word_cost(a, i, x_i), y_sq[i][rows]),
+                        (np.abs(x_i) * a[i], drifted[i][rows])))
+    best = upper[rows]
     for mask in range(8):
         (c0, s0), (c1, s1), (c2, s2) = (choices[i][(mask >> i) & 1]
                                         for i in range(3))
         cost = ((c0 + c1) + c2) + np.sqrt((s0 + s1) + s2)
-        np.minimum(upper, cost, out=upper)
+        np.minimum(best, cost, out=best)
+    upper[rows] = best
     return lower, upper
 
 
@@ -333,11 +353,13 @@ def _word_factors_free(a, i, phi):
 
 
 def _repaired(m, path, p):
-    """path closed by the shorter straight-log segment to p."""
+    """path closed by the shorter straight-log segment to p.  Every
+    segment of path already moves, so only the closing one is filtered."""
     gap = mul(segment_product(m, path.segments).inverse(), p)
     theta, _, branches = _log_branches(m, gap)
     alpha, beta = branches[int(theta > math.pi)]
-    return _controls_path(list(path.segments) + [(1.0, alpha, beta)])
+    return ControlPath(list(path.segments)
+                       + _controls_path([(1.0, alpha, beta)]).segments)
 
 
 def _resample_controls(path, n_seg):
@@ -522,9 +544,16 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     accepted when a uniform u < |cos x2|, the chart density.  Certain hits
     outside the unenlarged hexagons raise the containment_ring_hits flag.
 
+    Draws are taken CHUNK at a time, so the random stream does not depend
+    on how they are classified, and each chunk is classified in slices of
+    BLOCK rows; in fallback mode the draw keeps the raw uniforms, normals
+    and central coordinates, and each block turns its slice into chart
+    angles.
+
     Raises ValueError for r <= 0, for n < 1, and for a bracket that floats
-    cannot hold (at tilts d beyond about 1e104 the fallback box volume
-    overflows).
+    cannot hold, before the first draw when cert_mass + M(S) is already
+    inf (at tilts d beyond about 1e104 the fallback box volume overflows,
+    at r beyond about 1e103 the core box does).
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -537,59 +566,76 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     flags = []
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    bx, bu, cert_mass = _core_box(a, r)
-
     plus = (containment_sets(inp, Side.OUTER, 1.25 * c_outer)[0]
             if r <= eta * a[1] else [])
     hex_mode = bool(plus) and max(h.x_half_width for h in plus) <= EXTENT_CAP
+    # the masses are inf where they overflow; both ends of the bracket are
+    # at most cert_mass + mass, so a finite sum is a finite bracket
+    with np.errstate(over="ignore"):
+        bx, bu, cert_mass = _core_box(a, r)
+        if hex_mode:
+            mass = float(np.prod([hexagon_area(h) for h in plus]))
+        else:
+            theta_m = min(r / a[0], TWO_PI)
+            mass_m = float(_theta_mass(theta_m))
+            half = linear_upper(inp)
+            mass = 8.0 * math.pi * mass_m * float(np.prod(2.0 * half))
+    if not math.isfinite(cert_mass + mass):
+        raise ValueError(f"ball volume bracket is not finite at this metric "
+                         f"and radius: core box mass {cert_mass}, superset "
+                         f"mass {mass}")
+
+    # draw(take) consumes the generator for one chunk; points(raw, s)
+    # turns the slice s of it into (xs, ys, accepted)
     if hex_mode:
         mode = "hexagon"
         std, _ = containment_sets(inp, Side.OUTER, c_outer)
-        mass = float(np.prod([hexagon_area(h) for h in plus]))
 
         def draw(take):
             xs, ys = _hex_product_sample(plus, take, rng)
             return xs, ys, rng.random(take) < np.abs(np.cos(xs[:, 1]))
+
+        def points(raw, s):
+            return tuple(v[s] for v in raw)
     else:
         mode = "fallback"
-        theta_m = min(r / a[0], TWO_PI)
-        half = linear_upper(inp)
-        mass = 8.0 * math.pi * float(_theta_mass(theta_m)) * float(
-            np.prod(2.0 * half))
 
         def draw(take):
-            theta = _invert_theta_mass(rng.random(take) * _theta_mass(theta_m))
-            axis = rng.standard_normal((take, 3))
-            axis *= (np.sin(0.5 * theta)
-                     / np.linalg.norm(axis, axis=1))[:, None]
+            return (rng.random(take), rng.standard_normal((take, 3)),
+                    rng.uniform(-half, half, (take, 3)))
+
+        def points(raw, s):
+            u, axis, ys = (v[s] for v in raw)
+            theta = _invert_theta_mass(u * mass_m)
+            axis = axis * (np.sin(0.5 * theta)
+                           / np.linalg.norm(axis, axis=1))[:, None]
             q = np.column_stack([np.cos(0.5 * theta), axis])
             xs = np.stack(chart_angles(q), axis=1)
-            return xs, rng.uniform(-half, half, (take, 3)), np.ones(take, bool)
+            return xs, ys, np.ones(len(u), bool)
 
-    chunk = 1 << 17
     k_in = k_up = leak = 0
-    for start in range(0, n, chunk):
-        xs, ys, keep = draw(min(chunk, n - start))
-        # box hits are already counted in cert_mass
-        keep &= ~(np.all(np.abs(xs) <= bx, axis=1)
-                  & np.all(np.abs(ys - d * xs) <= bu, axis=1))
-        xs, ys = xs[keep], ys[keep]
-        low, upper = _certified_bounds(a, d, xs, ys)
-        hit = upper <= r
-        k_in += int(np.count_nonzero(hit))
-        k_up += int(np.count_nonzero(hit | (low <= r)))
-        if hex_mode:
-            leak += int(np.count_nonzero(~np.all(
-                [hexagon_contains(h, xs[hit, i], ys[hit, i])
-                 for i, h in enumerate(std)], axis=0)))
+    for start in range(0, n, CHUNK):
+        take = min(CHUNK, n - start)
+        raw = draw(take)
+        for lo in range(0, take, BLOCK):
+            xs, ys, keep = points(raw, slice(lo, lo + BLOCK))
+            # box hits are already counted in cert_mass
+            keep = keep & ~(np.all(np.abs(xs) <= bx, axis=1)
+                            & np.all(np.abs(ys - d * xs) <= bu, axis=1))
+            xs, ys = xs[keep], ys[keep]
+            low, upper = _certified_bounds(a, d, xs, ys, r)
+            hit = upper <= r
+            k_in += int(np.count_nonzero(hit))
+            k_up += int(np.count_nonzero(hit | (low <= r)))
+            if hex_mode:
+                leak += int(np.count_nonzero(~np.all(
+                    [hexagon_contains(h, xs[hit, i], ys[hit, i])
+                     for i, h in enumerate(std)], axis=0)))
     if leak:
         flags.append("containment_ring_hits")
 
     lower = cert_mass + mass * _clopper_pearson(k_in, n)[0]
     upper_v = cert_mass + mass * _clopper_pearson(k_up, n)[1]
-    if not (math.isfinite(lower) and math.isfinite(upper_v)):
-        raise ValueError(f"ball volume bracket [{lower}, {upper_v}] is not "
-                         "finite at this metric and radius")
     amb = mass * (k_up - k_in) / n
     if amb > 0.2 * (cert_mass + mass * k_up / n):
         flags.append("low_confidence")

@@ -78,9 +78,15 @@ class DecoupledMetric:
         object.__setattr__(self, "d", float(self.d))
         # SPD test; in floats a_i^2 must not vanish nor a_i^2 + d^2 overflow
         d = self.d
-        if not all(x > 0.0 and x * x > 0.0 and math.isfinite(x * x + d * d)
-                   for x in self.a.tolist()):
-            raise InvalidParameters(f"need finite a_i > 0, got {self.a}, {d}")
+        for x in self.a.tolist():
+            if not (x > 0.0 and math.isfinite(x) and math.isfinite(d)):
+                raise InvalidParameters(
+                    f"need finite a_i > 0 and finite d, got {self.a}, {d}")
+            if not x * x > 0.0:
+                raise InvalidParameters(f"a_i^2 underflows to 0 at a_i = {x}")
+            if not math.isfinite(x * x + d * d):
+                raise InvalidParameters(
+                    f"a_i^2 + d^2 overflows at a_i = {x}, d = {d}")
 
     @property
     def gram(self) -> np.ndarray:

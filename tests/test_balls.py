@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -545,6 +547,76 @@ def test_certified_bounds_match_8_mask_formulation():
     assert np.all(np.isfinite(got_up)) and np.all(got_lo <= got_up)
 
 
+def test_certified_bounds_gate_is_exact():
+    # each radius is a row's ungated upper, so rows sit exactly at r; the
+    # gate may only raise uppers that are already above r
+    rng = np.random.default_rng(61)
+    a = np.array([0.1, 1.0, 10.0])
+    raised = 0
+    for d in (0.0, 1.0, 1e4):
+        xs, ys = _bounds_inputs(rng, 4000)
+        lo_all, up_all = _certified_bounds(a, d, xs, ys)
+        for r in np.quantile(up_all, np.linspace(0.01, 0.99, 25),
+                             method="lower").tolist():
+            lo, up = _certified_bounds(a, d, xs, ys, r)
+            npt.assert_array_equal(lo, lo_all)
+            npt.assert_array_equal(up <= r, up_all <= r)
+            assert np.all(up >= up_all)
+            npt.assert_array_equal(up[up_all <= r], up_all[up_all <= r])
+            raised += np.count_nonzero(up > up_all)
+    assert raised > 0
+
+
+# (lower, upper, ambiguous_mass) as float.hex, mode and flags at seed 3,
+# for draw counts around the 2^14 classification block and the 2^17 chunk
+_BLOCK_PINS = {
+    ((1.0, 1.0, 1.0, 0.0), 0.05): [
+        (1, '0x1.22424075d2319p-35', '0x1.f150bf684873fp-19', '0x0.0p+0'),
+        (16383, '0x1.35cb64e3eb5c4p-24', '0x1.95b2f29b58430p-24',
+         '0x0.0p+0'),
+        (16385, '0x1.1efb80cdf5915p-24', '0x1.7ba23e73d894bp-24',
+         '0x0.0p+0'),
+        (131073, '0x1.52eaefaad3cd7p-24', '0x1.7495cb21e1c65p-24',
+         '0x0.0p+0'),
+        (200000, '0x1.4e668882ca631p-24', '0x1.6958177a6951ap-24',
+         '0x0.0p+0')],
+    ((1.0, 1.0, 1.0, 0.0), 0.5): [
+        (1, '0x1.5733b9d773a3dp-9', '0x1.08c4aef0fdf75p-1', '0x0.0p+0'),
+        (16383, '0x1.45269c4752534p-4', '0x1.64975d5744236p-4',
+         '0x0.0p+0'),
+        (16385, '0x1.3fa8816db6818p-4', '0x1.5ee31ca0e4f7ep-4',
+         '0x0.0p+0'),
+        (131073, '0x1.4568fada64059p-4', '0x1.505dc389d75ebp-4',
+         '0x0.0p+0'),
+        (200000, '0x1.46f0f8b732c2ap-4', '0x1.4fd05573029d6p-4',
+         '0x0.0p+0')],
+    ((1.0, 2.0, 3.0, 100.0), 1.0): [
+        (1, '0x1.70a90eb88cec0p-12', '0x1.580dbd04169a4p+22',
+         '0x1.580dbd03ba700p+22'),
+        (16383, '0x1.70a90eb88cec0p-12', '0x1.403d162600b95p+22',
+         '0x1.3e7430f16723bp+22'),
+        (16385, '0x1.70a90eb88cec0p-12', '0x1.40aafb4e3f603p+22',
+         '0x1.3ee5e0790ed0dp+22'),
+        (131073, '0x1.70a90eb88cec0p-12', '0x1.3ebc65ce58c76p+22',
+         '0x1.3e17e89e8f9e5p+22'),
+        (200000, '0x1.70a90eb88cec0p-12', '0x1.3ed1820718a10p+22',
+         '0x1.3e4cade255957p+22')],
+}
+_BLOCK_MODES = {0.05: ("hexagon", ()), 0.5: ("fallback", ()),
+                1.0: ("fallback", ("low_confidence",))}
+
+
+@pytest.mark.parametrize("cell", sorted(_BLOCK_PINS))
+def test_ball_brackets_pinned_across_block_boundaries(cell):
+    params, r = cell
+    m = from_parameters(*params)
+    for n, lower, upper, amb in _BLOCK_PINS[cell]:
+        vb = ball_volume(m, r, n, seed=3)
+        assert (vb.lower.hex(), vb.upper.hex(),
+                vb.ambiguous_mass.hex()) == (lower, upper, amb)
+        assert (vb.mode, vb.flags) == _BLOCK_MODES[r]
+
+
 def test_distance_tiny_stretch_brackets_without_huge_words():
     # a word about the cheap axis would repeat ~1e79 (a1 = 1e-160) or
     # millions of times (a1 = 1e-12); such words are skipped and the
@@ -568,20 +640,27 @@ def test_ball_rejects_too_few_samples():
             ball_volume(m, 0.1, n)
 
 
+def _rejects_before_drawing(m, r):
+    # the mass is inf before any draw: the call raises at once, without
+    # classifying 2e5 draws or emitting an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            ball_volume(m, r, 200000, seed=1)
+        assert time.perf_counter() - start < 0.05
+
+
 def test_ball_rejects_non_finite_bracket():
     # at this tilt the fallback box volume overflows and the upper bound
     # would read NaN
-    m = from_parameters(1.0, 1.0, 1.0, 1e112)
-    with pytest.raises(ValueError), np.errstate(all="ignore"):
-        ball_volume(m, 0.1, 2000, seed=1)
+    _rejects_before_drawing(from_parameters(1.0, 1.0, 1.0, 1e112), 0.1)
 
 
 def test_ball_rejects_radius_whose_box_overflows():
     # the core box mass (2 bu)^3 overflows near r = 1.5e103; the bracket
     # is not finite, which is a ValueError and not an OverflowError
-    m = from_parameters(1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError), np.errstate(all="ignore"):
-        ball_volume(m, 1e200, 1000, seed=1)
+    _rejects_before_drawing(from_parameters(1.0, 1.0, 1.0, 0.0), 1e200)
 
 
 def test_ball_contains_isotropic_volume_in_fallback_mode():

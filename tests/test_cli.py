@@ -138,8 +138,9 @@ def test_ball_volume_single_cell(tmp_path):
 
 def test_ball_volume_rejected_values_exit_2(tmp_path, capsys):
     # a1 = 1e-300 is rejected by the metric, r = 1e200 by ball_volume
-    for text in ("a1=1e-300\nr=0.1\nsamples=100\n",
-                 "r=1e200\nsamples=100\n"):
+    for text, cause in (("a1=1e-300\nr=0.1\nsamples=100\n",
+                         "a_i^2 underflows"),
+                        ("r=1e200\nsamples=100\n", "not finite")):
         cfg = _write(tmp_path / "b.cfg", text)
         with np.errstate(all="ignore"):
             rc = main(["ball-volume", "--config", cfg, "--out",
@@ -147,6 +148,7 @@ def test_ball_volume_rejected_values_exit_2(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert cause in err[0]
 
 
 def test_sweep_small_and_byte_identical(tmp_path):

@@ -180,12 +180,20 @@ def test_gram_is_derived_from_the_frame():
 
 
 def test_decoupled_metric_rejects_degenerate_parameters():
+    # the message names the condition that failed
     m = from_parameters(1.0, 2.0, 3.0, 0.5)
-    for a, d in (((0.0, 1.0, 1.0), 0.0), ((-1.0, 1.0, 1.0), 0.0),
-                 ((math.nan, 1.0, 1.0), 0.0), ((1.0, 1.0, 1.0), math.inf),
-                 ((1.0, 1.0, 1.0), math.nan), ((1e-170, 1.0, 1.0), 0.0),
-                 ((1.0, 1.0, 1e160), 0.0), ((1.0, 1.0, 1.0), 1e160)):
-        with pytest.raises(InvalidParameters):
+    bad = "need finite a_i > 0"
+    under, over = r"a_i\^2 underflows", r"a_i\^2 \+ d\^2 overflows"
+    for a, d, cause in (((0.0, 1.0, 1.0), 0.0, bad),
+                        ((-1.0, 1.0, 1.0), 0.0, bad),
+                        ((math.nan, 1.0, 1.0), 0.0, bad),
+                        ((1.0, 1.0, 1.0), math.inf, bad),
+                        ((1.0, 1.0, 1.0), math.nan, bad),
+                        ((1e-170, 1.0, 1.0), 0.0, under),
+                        ((1e-300, 1.0, 1.0), 0.0, under),
+                        ((1.0, 1.0, 1e160), 0.0, over),
+                        ((1.0, 1.0, 1.0), 1e160, over)):
+        with pytest.raises(InvalidParameters, match=cause):
             DecoupledMetric(V=m.V, F=m.F, a=a, d=d)
 
 
