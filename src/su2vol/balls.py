@@ -218,10 +218,10 @@ def _certified_bounds(a, d, xs, ys, r=math.inf):
 
     Rows whose residual floor sqrt((m0 + m1) + m2), m_i the smaller of
     axis i's two squared residuals, exceeds r skip the eight candidates
-    and keep the straight-log minimum, a real path's length and > r.  The
-    gate is exact: every candidate's s_i >= m_i and its cost sum is
-    >= 0, and rounded addition and sqrt are monotone, so no skipped
-    candidate is <= r.  Lower bounds and (upper <= r) are those of the
+    and keep the straight-log minimum.  The gate is exact: every
+    candidate's s_i >= m_i and its cost sum is >= 0, and rounded addition
+    and sqrt are monotone, so every skipped candidate is > r.  Lower
+    bounds, (upper <= r) and every upper that is <= r are those of the
     ungated bounds; at r = inf every row takes the candidates.
     """
     a = np.asarray(a, dtype=float)
@@ -242,10 +242,8 @@ def _certified_bounds(a, d, xs, ys, r=math.inf):
         np.minimum(upper, cost, out=upper)
 
     drifted = [(y[i] - d * x[i]) ** 2 for i in range(3)]
-    rows = slice(None)
-    if r < math.inf:
-        least = [np.minimum(y_sq[i], drifted[i]) for i in range(3)]
-        rows = ~(np.sqrt((least[0] + least[1]) + least[2]) > r)
+    least = [np.minimum(y_sq[i], drifted[i]) for i in range(3)]
+    rows = ~(np.sqrt((least[0] + least[1]) + least[2]) > r)
     # axis i's (rotation cost, squared central residual): the word and no
     # drift where bit i of the mask is clear, the direct turn and its
     # drift d nu_i where it is set
