@@ -27,10 +27,10 @@ from .frames import (ControlPath, PathSegment, chart_angles,
                      commutator_identity, euler_quat, path_length,
                      segment_product, word_factors, word_rows)
 from .metrics import DecoupledMetric, canonicalize, from_parameters
-from .volumes import (EstimatorInputs, OutOfRegime, Side, containment_sets,
-                      hexagon_area, hexagon_area_truncated, hexagon_contains,
-                      linear_upper, m_rho, sample_hexagon, vbar_g,
-                      vbar_g_doubling_bound)
+from .volumes import (C_OUTER, EstimatorInputs, OutOfRegime, Side,
+                      containment_sets, hexagon_area, hexagon_area_truncated,
+                      hexagon_contains, linear_upper, m_rho, sample_hexagon,
+                      vbar_g, vbar_g_doubling_bound)
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -510,8 +510,7 @@ def _clopper_pearson(k, n):
 
 
 def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
-                seed: int = 0, eta: float = 0.1,
-                c_outer: float = 8.0) -> VolumeBracket:
+                seed: int = 0, eta: float = 0.1) -> VolumeBracket:
     """Certified 99% Monte Carlo bracket of the reference-measure ball volume.
 
     vol = cert_mass + M(S) p.  cert_mass is the exact mass of a small box
@@ -564,7 +563,7 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     flags = []
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    plus = (containment_sets(inp, Side.OUTER, 1.25 * c_outer)[0]
+    plus = (containment_sets(inp, Side.OUTER, 1.25 * C_OUTER)[0]
             if r <= eta * a[1] else [])
     hex_mode = bool(plus) and max(h.x_half_width for h in plus) <= EXTENT_CAP
     # the masses are inf where they overflow; both ends of the bracket are
@@ -587,7 +586,7 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     # turns the slice s of it into (xs, ys, accepted)
     if hex_mode:
         mode = "hexagon"
-        std, _ = containment_sets(inp, Side.OUTER, c_outer)
+        std, _ = containment_sets(inp, Side.OUTER)
 
         def draw(take):
             xs, ys = _hex_product_sample(plus, take, rng)
@@ -706,8 +705,7 @@ def _mdd_empirical(a, d, r, eta, iota, seed):
 
 
 def sweep(grid=None, samples: int = 10000, seed: int = 0,
-          eta: float = 0.1, iota: float = math.pi / 4,
-          c_outer: float = 8.0):
+          eta: float = 0.1, iota: float = math.pi / 4):
     """Run the sandwich / doubling verification sweep.
 
     Returns {"rows": [...], "summary": {...}}; each row is an ordered dict
@@ -717,12 +715,6 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
     if grid is None:
         grid = default_sweep_grid()
     rows = []
-    ratio_low = []
-    ratio_high = []
-    doubling = []
-    mdd_vals = []
-    any_leak = False
-    n_ambig_flagged = 0
     calc_bound = vbar_g_doubling_bound()
     for idx, cell in enumerate(grid):
         a = tuple(float(v) for v in cell["a"])
@@ -737,10 +729,9 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
             inp_2r = EstimatorInputs(2.0 * r, a, d, eta)
             vb_r = vbar_g(inp_r)
             vb_2r = vbar_g(inp_2r)
-            vol_r = ball_volume(m, r, samples, _seed_from(seed, idx, 0),
-                                eta, c_outer)
+            vol_r = ball_volume(m, r, samples, _seed_from(seed, idx, 0), eta)
             vol_2r = ball_volume(m, 2.0 * r, samples,
-                                 _seed_from(seed, idx, 1), eta, c_outer)
+                                 _seed_from(seed, idx, 1), eta)
             flags.extend(f"r:{f}" for f in vol_r.flags)
             flags.extend(f"2r:{f}" for f in vol_2r.flags)
             if vol_r.lower > vol_r.upper or vol_2r.lower > vol_2r.upper:
@@ -758,8 +749,7 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
             inner_mass = float(np.prod(
                 [hexagon_area_truncated(h, iota) for h in inner_hexes]))
             try:
-                outer_hexes, _ = containment_sets(inp_r, Side.OUTER,
-                                                  c_outer)
+                outer_hexes, _ = containment_sets(inp_r, Side.OUTER)
                 outer_mass = float(np.prod(
                     [hexagon_area(h) for h in outer_hexes]))
             except OutOfRegime:
@@ -783,16 +773,6 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
                 "mdd_emp": mdd_emp, "inner_mass": inner_mass,
                 "outer_mass": outer_mass,
             })
-            ratio_low.extend([row["ratio_low_r"], row["ratio_low_2r"]])
-            ratio_high.extend([row["ratio_high_r"], row["ratio_high_2r"]])
-            doubling.append(row["doubling_ratio"])
-            if math.isfinite(mdd_emp):
-                mdd_vals.append(mdd_emp)
-            if "r:containment_ring_hits" in flags or \
-                    "2r:containment_ring_hits" in flags:
-                any_leak = True
-            if any("low_confidence" in f for f in flags):
-                n_ambig_flagged += 1
         except Exception as exc:
             flags.append(f"error:{type(exc).__name__}")
             for key in SWEEP_COLUMNS:
@@ -800,6 +780,13 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
                     row[key] = "" if key.startswith("mode_") else float("nan")
         row["flags"] = ";".join(flags)
         rows.append(row)
+    # the summary reads the cells that ran to the end
+    ok = [row for row in rows if "error:" not in row["flags"]]
+    ratio_low = [row[k] for row in ok for k in ("ratio_low_r", "ratio_low_2r")]
+    ratio_high = [row[k] for row in ok
+                  for k in ("ratio_high_r", "ratio_high_2r")]
+    doubling = [row["doubling_ratio"] for row in ok]
+    mdd_vals = [row["mdd_emp"] for row in ok if math.isfinite(row["mdd_emp"])]
     c_emp = min(ratio_low) if ratio_low else float("nan")
     c_high = max(ratio_high) if ratio_high else float("nan")
     sup_doubling = max(doubling) if doubling else float("nan")
@@ -807,12 +794,14 @@ def sweep(grid=None, samples: int = 10000, seed: int = 0,
                       else float("inf"))
     summary = {
         "cells": len(rows), "samples": samples, "seed": seed,
-        "eta": eta, "iota": iota, "c_outer": c_outer,
+        "eta": eta, "iota": iota,
         "c_emp": c_emp, "C_emp": c_high, "sup_doubling": sup_doubling,
         "calc_bound": calc_bound, "envelope_bound": envelope_bound,
         "doubling_ok": bool(sup_doubling <= envelope_bound),
-        "containment_leak": any_leak,
-        "low_confidence_cells": n_ambig_flagged,
+        "containment_leak": any("containment_ring_hits" in row["flags"]
+                                for row in ok),
+        "low_confidence_cells": sum("low_confidence" in row["flags"]
+                                    for row in ok),
         "mdd_emp_max": max(mdd_vals) if mdd_vals else float("nan"),
     }
     return {"rows": rows, "summary": summary}

@@ -41,7 +41,6 @@ def _float_list(raw):
 _KEYS = {
     "eta": (float, 0.1),
     "iota": (float, math.pi / 4.0),
-    "c_outer": (float, 8.0),
     "seed": (int, 0),
     "samples": (int, 10000),
     "format": (str, "csv"),
@@ -100,8 +99,6 @@ def _validate_config(cfg):
         raise ConfigError("eta must be positive")
     if not 0.0 < cfg["iota"] <= math.pi / 3.0:
         raise ConfigError("iota must be in (0, pi/3]")
-    if cfg["c_outer"] < 1.0:
-        raise ConfigError("c_outer must be >= 1")
     if cfg["samples"] < 1:
         raise ConfigError("samples must be >= 1")
     if cfg["seed"] < 0:
@@ -375,19 +372,18 @@ def cmd_reduce(metric_path):
 # -- estimate ----------------------------------------------------------------
 
 def _grid_cells(cfg):
-    if cfg["a_grid"] is None and cfg["d_grid"] is None \
-            and cfg["r_grid"] is None:
-        return None
-    return default_sweep_grid(cfg["a_grid"] or (cfg["a1"],),
-                              cfg["d_grid"] or (cfg["d"],),
-                              cfg["r_grid"] or (cfg["r"],))
+    """The config's grid; an unset axis is its one configured value, and
+    an unset a_grid the one triple sorted((a1, a2, a3))."""
+    d_vals = cfg["d_grid"] or (cfg["d"],)
+    r_vals = cfg["r_grid"] or (cfg["r"],)
+    if cfg["a_grid"] is not None:
+        return default_sweep_grid(cfg["a_grid"], d_vals, r_vals)
+    a = tuple(sorted((cfg["a1"], cfg["a2"], cfg["a3"])))
+    return [{"a": a, "d": d, "r": r} for d in d_vals for r in r_vals]
 
 
 def cmd_estimate(cfg):
     cells = _grid_cells(cfg)
-    if cells is None:
-        a_sorted = tuple(sorted((cfg["a1"], cfg["a2"], cfg["a3"])))
-        cells = [{"a": a_sorted, "d": cfg["d"], "r": cfg["r"]}]
     bound = vbar_g_doubling_bound()
     rows = []
     for cell in cells:
@@ -420,7 +416,7 @@ def cmd_ball_volume(cfg):
         metric = from_parameters(a_sorted[0], a_sorted[1], a_sorted[2],
                                  cfg["d"])
         vb = ball_volume(metric, cfg["r"], cfg["samples"], cfg["seed"],
-                         cfg["eta"], cfg["c_outer"])
+                         cfg["eta"])
     except (InvalidParameters, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -444,12 +440,11 @@ def cmd_ball_volume(cfg):
 
 def cmd_sweep(cfg):
     t0 = time.time()
-    grid = _grid_cells(cfg)
-    if grid is None:
-        grid = default_sweep_grid()
-    report = sweep(grid, samples=cfg["samples"], seed=cfg["seed"],
-                   eta=cfg["eta"], iota=cfg["iota"],
-                   c_outer=cfg["c_outer"])
+    # with no grid key set, the sweep runs its default grid
+    gridded = any(cfg[k] is not None for k in ("a_grid", "d_grid", "r_grid"))
+    report = sweep(_grid_cells(cfg) if gridded else None,
+                   samples=cfg["samples"], seed=cfg["seed"], eta=cfg["eta"],
+                   iota=cfg["iota"])
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "sweep_report.csv", cfg, SWEEP_COLUMNS,

@@ -102,11 +102,6 @@ def _window_overlap(lo, hi, half_window):
     return np.where(full, 2.0 * half_window, np.where(w > 0.0, total, 0.0))
 
 
-def _integrand(h: Hexagon, y, half_window):
-    lo, hi = section(h, y)
-    return _window_overlap(lo, hi, half_window)
-
-
 def _edge_crossings(const, slope, y0, y1, targets):
     """Solutions of const + slope*y + 4 pi k = t in (y0, y1), all k, t."""
     out = []
@@ -124,58 +119,26 @@ def _edge_crossings(const, slope, y0, y1, targets):
     return out
 
 
-def _integrate_affine_patch(h, y0, y1, lo_c, lo_s, hi_c, hi_s, W):
-    """Exact integral of the window overlap where lo, hi are affine and the
-    width stays below 4*pi; edge sweeps are bounded so crossings are few."""
-    pts = [y0, y1]
-    pts += _edge_crossings(lo_c, lo_s, y0, y1, (-W, W))
-    pts += _edge_crossings(hi_c, hi_s, y0, y1, (-W, W))
-    pts = np.unique(np.asarray(pts))
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    widths = np.diff(pts)
-    vals = _integrand(h, mids, W)
-    return float(np.sum(vals * widths))
-
-
-def _integrate_patch(h: Hexagon, y0, y1, lo_c, lo_s, hi_c, hi_s, W):
-    """Integral over a patch where lo/hi are affine, any width regime."""
-    if y1 <= y0:
-        return 0.0
-    # split at width = 4 pi if the affine width crosses it; the side where
-    # the width exceeds a full turn contributes the saturated value, so no
-    # re-test is needed on either half (the split point is inexact)
-    w0 = (hi_c - lo_c) + (hi_s - lo_s) * y0
-    w1 = (hi_c - lo_c) + (hi_s - lo_s) * y1
-    if (w0 - FOUR_PI) * (w1 - FOUR_PI) < 0.0:
-        yc = (FOUR_PI - (hi_c - lo_c)) / (hi_s - lo_s)
-        yc = min(max(yc, y0), y1)
-        if w1 > w0:
-            return (2.0 * W * (y1 - yc)
-                    + _integrate_narrow(h, y0, yc, lo_c, lo_s,
-                                        hi_c, hi_s, W))
-        return (2.0 * W * (yc - y0)
-                + _integrate_narrow(h, yc, y1, lo_c, lo_s, hi_c, hi_s, W))
-    if w0 >= FOUR_PI and w1 >= FOUR_PI:
-        return 2.0 * W * (y1 - y0)
-    return _integrate_narrow(h, y0, y1, lo_c, lo_s, hi_c, hi_s, W)
-
-
-def _integrate_narrow(h: Hexagon, y0, y1, lo_c, lo_s, hi_c, hi_s, W):
-    """Patch integral when the width stays at or below one full turn."""
-    if y1 <= y0:
-        return 0.0
+def _narrow_integral(h: Hexagon, y0, y1, edges, W):
+    """Exact integral of the window overlap over [y0, y1], where lo, hi are
+    affine and the width stays at or below one full turn: the overlap is
+    affine between the edges' window crossings, so midpoints are exact."""
+    lo_c, lo_s, hi_c, hi_s = edges
+    acc = 0.0
     if lo_s == hi_s and lo_s != 0.0:
         # both edges translate together: the overlap is periodic in y
         period = FOUR_PI / abs(lo_s)
         n_full = math.floor((y1 - y0) / period)
-        acc = 0.0
         if n_full:
             w_mid = hi_c - lo_c  # constant width
             acc += n_full * period * (min(w_mid, FOUR_PI) * 2.0 * W) / FOUR_PI
             y0 = y0 + n_full * period
-        return acc + _integrate_affine_patch(h, y0, y1, lo_c, lo_s,
-                                             hi_c, hi_s, W)
-    return _integrate_affine_patch(h, y0, y1, lo_c, lo_s, hi_c, hi_s, W)
+    pts = [y0, y1]
+    pts += _edge_crossings(lo_c, lo_s, y0, y1, (-W, W))
+    pts += _edge_crossings(hi_c, hi_s, y0, y1, (-W, W))
+    pts = np.unique(np.asarray(pts))
+    lo, hi = section(h, 0.5 * (pts[:-1] + pts[1:]))
+    return acc + float(np.sum(_window_overlap(lo, hi, W) * np.diff(pts)))
 
 
 def _affine_patches(h: Hexagon):
@@ -201,12 +164,44 @@ def _affine_patches(h: Hexagon):
     return patches
 
 
+def _pieces(h: Hexagon):
+    """The hexagon's pieces, one list per affine patch, bottom to top.
+
+    Each patch is cut once where its width hi - lo crosses a full turn.
+    Returns [(edges, [(y0, y1, w0, w1, saturated), ...]), ...]: the patch's
+    edges (lo_c, lo_s, hi_c, hi_s), and per piece its ends, the width at
+    each end, and whether the width is at least 4 pi across it.  The cut
+    point is inexact, so it is clamped into the patch and the side it
+    bounds keeps its flag without a re-test; empty pieces are dropped.
+    Areas and the sampler both read this list.
+    """
+    out = []
+    for (y0, y1, lo_c, lo_s, hi_c, hi_s) in _affine_patches(h):
+        base, slope = hi_c - lo_c, hi_s - lo_s
+        w0, w1 = base + slope * y0, base + slope * y1
+        if (w0 - FOUR_PI) * (w1 - FOUR_PI) < 0.0:
+            yc = min(max((FOUR_PI - base) / slope, y0), y1)
+            wc = base + slope * yc
+            pieces = [p for p in ((y0, yc, w0, wc, w0 > w1),
+                                  (yc, y1, wc, w1, w1 > w0)) if p[1] > p[0]]
+        else:
+            pieces = [(y0, y1, w0, w1, w0 >= FOUR_PI and w1 >= FOUR_PI)]
+        out.append(((lo_c, lo_s, hi_c, hi_s), pieces))
+    return out
+
+
 def hexagon_area_window(h: Hexagon, half_window: float) -> float:
-    """Exact cylinder area of H restricted to the x-window [-W, W]."""
+    """Exact cylinder area of H restricted to the x-window [-W, W]: a
+    saturated piece covers the whole window, a narrow one is integrated."""
     if not 0.0 < half_window <= 2.0 * math.pi:
         raise InvalidHexagon("window half-width must be in (0, 2 pi]")
-    return sum(_integrate_patch(h, *patch, half_window)
-               for patch in _affine_patches(h))
+    W = half_window
+    # per-patch sums first, then across patches: another order would move
+    # the areas at rounding level
+    return sum(sum(2.0 * W * (b - a) if saturated
+                   else _narrow_integral(h, a, b, edges, W)
+                   for a, b, _, _, saturated in pieces)
+               for edges, pieces in _pieces(h))
 
 
 def hexagon_area(h: Hexagon) -> float:
@@ -235,25 +230,11 @@ def sample_hexagon(h: Hexagon, n: int, rng: np.random.Generator):
     inverting the per-piece quadratic cumulative; x is uniform on the
     cross-section arc.
     """
-    pieces = []
-    for (y0, y1, lo_c, lo_s, hi_c, hi_s) in _affine_patches(h):
-        pts = [y0, y1]
-        w0 = (hi_c - lo_c) + (hi_s - lo_s) * y0
-        w1 = (hi_c - lo_c) + (hi_s - lo_s) * y1
-        if (w0 - FOUR_PI) * (w1 - FOUR_PI) < 0.0:
-            pts.append((FOUR_PI - (hi_c - lo_c)) / (hi_s - lo_s))
-        pts = sorted(pts)
-        for a, b in zip(pts[:-1], pts[1:]):
-            if b > a:
-                fa = min((hi_c - lo_c) + (hi_s - lo_s) * a, FOUR_PI)
-                fb = min((hi_c - lo_c) + (hi_s - lo_s) * b, FOUR_PI)
-                pieces.append((a, b, fa, fb))
+    pieces = [(a, b, min(wa, FOUR_PI), min(wb, FOUR_PI))
+              for _, patch in _pieces(h) for a, b, wa, wb, _ in patch]
     if not pieces:
         raise InvalidHexagon("cannot sample a degenerate hexagon")
-    starts = np.array([p[0] for p in pieces])
-    ends = np.array([p[1] for p in pieces])
-    f0 = np.array([p[2] for p in pieces])
-    f1 = np.array([p[3] for p in pieces])
+    starts, ends, f0, f1 = map(np.array, zip(*pieces))
     masses = 0.5 * (f0 + f1) * (ends - starts)
     total = float(np.sum(masses))
     if total <= 0.0:
@@ -349,8 +330,12 @@ class Side:
     OUTER = "outer"
 
 
+# enlargement of the outer containment hexagons: the paper's constant C
+C_OUTER = 8.0
+
+
 def containment_sets(inp: EstimatorInputs, side: str,
-                     c_outer: float = 8.0):
+                     c_outer: float = C_OUTER):
     """Per-axis hexagons whose product brackets the ball in chart coordinates.
 
     Inner: H_iota(rho_i, r/a_i, r) with the x-window flag set; the image

@@ -21,7 +21,7 @@ def test_default_config_validates():
     cfg = default_config()
     assert cfg["eta"] == pytest.approx(0.1)
     assert cfg["format"] == "csv"
-    assert list(cfg) == ["eta", "iota", "c_outer", "seed", "samples",
+    assert list(cfg) == ["eta", "iota", "seed", "samples",
                          "format", "out", "a1", "a2", "a3", "d", "r",
                          "a_grid", "d_grid", "r_grid"]
 
@@ -120,6 +120,26 @@ def test_estimate_writes_table(tmp_path):
     # header + 4 ascending triples x 2 tilts x 1 radius
     assert len(lines) == 1 + 8
     assert lines[0].startswith("a1,")
+
+
+def _report_cells(path):
+    lines = [ln for ln in path.read_text().splitlines()
+             if not ln.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    return [(float(r["a1"]), float(r["a2"]), float(r["a3"]), float(r["d"]))
+            for r in rows]
+
+
+def test_unset_a_grid_is_the_configured_triple(tmp_path):
+    # a2 and a3 take part in the grid, not only a1
+    cfg = _write(tmp_path / "g.cfg",
+                 "a1=3\na2=1\na3=2\nd_grid=0,1\nr=0.05\nsamples=500\n")
+    want = [(1.0, 2.0, 3.0, 0.0), (1.0, 2.0, 3.0, 1.0)]
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert _report_cells(tmp_path / "estimate.csv") == want
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert _report_cells(tmp_path / "sweep_report.csv") == want
 
 
 def test_ball_volume_single_cell(tmp_path):

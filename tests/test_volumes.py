@@ -12,7 +12,7 @@ from su2vol.volumes import (
     hexagon_area_truncated, hexagon_area_window, hexagon_contains,
     hexagon_planar_area, linear_upper, m_rho, sample_hexagon, section,
     vbar_H, vbar_g, vbar_g_doubling_bound, vbar_g_doubling_tree,
-    wrap_area_upper,
+    wrap_area_upper, _pieces,
 )
 from oracles import hexagon_area_mc, hexagon_membership, hexagon_vertices, \
     polygon_area
@@ -186,6 +186,83 @@ def test_sampler_degenerate():
     with pytest.raises(InvalidHexagon):
         sample_hexagon(Hexagon(0.0, 0.0, 0.0, 1.0), 10,
                        np.random.default_rng(0))
+
+
+# exact window areas per branch of the piece list, as float.hex at
+# W = 2 pi, pi/4 and 0.01
+PINNED_AREAS = {
+    # d = 0, narrow
+    (1.0, 1.0, 1.0, 0.0): ("0x1.0000000000000p+3", "0x1.921fb54442d18p+1",
+                           "0x1.47ae147ae147bp-5"),
+    # d = 0, one fully saturated patch
+    (4.0 * math.pi, 4.0 * math.pi, 1.0, 0.0): (
+        "0x1.921fb54442d18p+4", "0x1.921fb54442d18p+1",
+        "0x1.47ae147ae147bp-5"),
+    # rising 4 pi crossing, saturated middle patch, falling crossing
+    (6.0, 6.0, 1.0, 0.7): ("0x1.04ee71ba1e88dp+7", "0x1.01c9aea72aa72p+4",
+                           "0x1.a9d7342edbb53p-3"),
+    # parallel slanted edges over several periods: the periodic shortcut
+    (0.5, 30.0, 0.2, 40.0): ("0x1.2f0ccccccccd1p+11",
+                             "0x1.3d4d0507dcb9ap+8", "0x1.028f5c28f5c28p+2"),
+    # saturated slanted patches
+    (10.0, 3.0, 2.0, 0.3): ("0x1.238a3037e3a4bp+6", "0x1.238a3037e3a4bp+3",
+                            "0x1.db22d0e560418p-4"),
+    # crossings far from the middle, slim in x
+    (0.012, 100.0, 100.0, 1.0): ("0x1.3053cb829eb26p+12",
+                                 "0x1.2a9ee9c949f39p+9",
+                                 "0x1.e13857415778bp+2"),
+}
+
+
+@pytest.mark.parametrize("shape", list(PINNED_AREAS))
+def test_window_areas_pinned_per_branch(shape):
+    got = tuple(hexagon_area_window(Hexagon(*shape), w).hex()
+                for w in (2.0 * math.pi, math.pi / 4.0, 0.01))
+    assert got == PINNED_AREAS[shape]
+
+
+def test_pieces_cover_branches():
+    # the pinned shapes reach each kind of piece the list can hold
+    flags = {shape: [[p[4] for p in pieces]
+                     for _, pieces in _pieces(Hexagon(*shape))]
+             for shape in PINNED_AREAS}
+    assert flags[(1.0, 1.0, 1.0, 0.0)] == [[False]]
+    assert flags[(4.0 * math.pi, 4.0 * math.pi, 1.0, 0.0)] == [[True]]
+    assert flags[(6.0, 6.0, 1.0, 0.7)] == [[False, True], [True],
+                                           [True, False]]
+    assert flags[(10.0, 3.0, 2.0, 0.3)] == [[True]] * 3
+    edges = [e for e, _ in _pieces(Hexagon(0.5, 30.0, 0.2, 40.0))]
+    assert edges[1][1] == edges[1][3] != 0.0
+
+
+def test_sampler_piece_masses_equal_exact_area():
+    # M(S) in ball_volume is a product of hexagon_area values, and the
+    # draws come from the sampler's trapezoids: their masses must agree
+    rng = np.random.default_rng(2029)
+    n = 2000
+    mu, nu, xi = (np.exp(rng.uniform(math.log(0.05), math.log(20.0), n))
+                  for _ in range(3))
+    d = np.where(rng.random(n) < 0.25, 0.0,
+                 np.exp(rng.uniform(math.log(0.05), math.log(5.0), n)))
+    shapes = list(zip(mu, nu, xi, d)) + SHAPES + list(PINNED_AREAS)
+    for shape in shapes:
+        h = Hexagon(*shape)
+        mass = sum(0.5 * (min(wa, FOUR_PI) + min(wb, FOUR_PI)) * (b - a)
+                   for _, pieces in _pieces(h)
+                   for a, b, wa, wb, _ in pieces)
+        area = hexagon_area(h)
+        assert abs(mass - area) <= 1e-13 * area, shape
+
+
+def test_sampler_draw_pinned_on_crossing_shape():
+    x, y = sample_hexagon(Hexagon(6.0, 6.0, 1.0, 0.7), 4,
+                          np.random.default_rng(12))
+    assert [v.hex() for v in x.tolist()] == [
+        "0x1.3b2e0f2d00834p+1", "-0x1.0727e60f60628p+2",
+        "0x1.342bbb63438b0p-1", "-0x1.4c86ee58349b2p+2"]
+    assert [v.hex() for v in y.tolist()] == [
+        "-0x1.ebe2081ef3964p-1", "0x1.c8eb590326a67p+1",
+        "-0x1.dd3df7e06b1ccp+1", "-0x1.279dcbcfb616bp+2"]
 
 
 def test_estimator_inputs_validation():
