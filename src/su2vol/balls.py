@@ -24,7 +24,8 @@ from scipy import optimize, special
 from .algebra import (AlgebraElement, GroupElement, angle_axis, exp_group,
                       g0_distance_between, mul)
 from .frames import (ControlPath, PathSegment, chart_angles,
-                     commutator_identity, euler_quat, path_length,
+                     commutator_identity, euler_quat, factor_product,
+                     factor_table, path_length, segment_factor,
                      segment_product, word_factors, word_rows)
 from .metrics import DecoupledMetric, canonicalize, from_parameters
 from .volumes import (C_OUTER, EstimatorInputs, OutOfRegime, Side,
@@ -377,6 +378,41 @@ def _resample_controls(path, n_seg):
     return z.reshape(-1)
 
 
+def _powell_objective(m, p, n_seg, pen):
+    """Powell's objective over n_seg controls rows of duration 1/n_seg,
+    flattened into z: the path length plus pen times the g0 gap from the
+    path's endpoint to p.
+
+    Powell mostly moves one coordinate at a time, so each segment slot
+    keeps its length term and segment factor under the exact bytes of
+    its six controls, and only slots whose bytes changed are recomputed.
+    Equal bytes are equal floats, signed zeros and NaNs included, so
+    every value equals sum(dt * frame_norm) plus pen times
+    g0_distance_between(segment_product(m, rows), p) computed afresh.
+    """
+    dt = 1.0 / n_seg
+    d, UF = factor_table(m)
+    keys = [None] * n_seg
+    lengths = [0.0] * n_seg
+    factors = [None] * n_seg
+
+    def objective(z):
+        raw = z.tobytes()
+        for i in range(n_seg):
+            # a slot is six float64 controls, 48 bytes
+            key = raw[48 * i:48 * i + 48]
+            if key != keys[i]:
+                row = z[6 * i:6 * i + 6].tolist()
+                alpha, beta = row[:3], row[3:]
+                factors[i] = segment_factor(d, UF, dt, alpha, beta)
+                lengths[i] = dt * m.frame_norm(alpha, beta)
+                keys[i] = key
+        return sum(lengths) + pen * g0_distance_between(
+            factor_product(factors), p)
+
+    return objective
+
+
 def distance_bracket(m: DecoupledMetric, p: GroupElement,
                      budget: int = 2) -> DistanceBracket:
     """Certified two-sided distance estimate from the identity to p.
@@ -404,16 +440,8 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
             best_path = fixed
 
     n_seg = 8
-
-    def objective(z):
-        rows = [(1.0 / n_seg, row[:3], row[3:])
-                for row in z.reshape(n_seg, 6).tolist()]
-        length = sum(dt * m.frame_norm(alpha, beta)
-                     for dt, alpha, beta in rows)
-        out = segment_product(m, rows)
-        return length + pen * g0_distance_between(out, p)
-
     pen = 10.0 * _lambda_max(float(np.max(m.a)), m.d) + 10.0
+    objective = _powell_objective(m, p, n_seg, pen)
     starts = [_resample_controls(c, n_seg) for c in candidates[:5]]
     states = list(starts)
     for _ in range(max(0, int(budget))):
@@ -423,7 +451,9 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
                     objective, z0, method="Powell",
                     options={"maxfev": 60 * n_seg, "xtol": 1e-6,
                              "ftol": 1e-8})
-            except Exception:
+            except (ValueError, ArithmeticError):
+                # the objective's documented failures: non-finite
+                # coefficients, math.sin(inf) of an overflowing rotation
                 continue
             states[si] = res.x
             fixed = _repaired(m, _controls_path(

@@ -334,30 +334,40 @@ def mc_integrate(m: DecoupledMetric, p: ControlPath):
     return endpoint, coords, path_length(m, p)
 
 
-def segment_product(m: DecoupledMetric, rows) -> GroupElement:
-    """Exact endpoint of piecewise-constant controls from the identity.
+def factor_table(m: DecoupledMetric):
+    """The tilt d and one (u row, f row) per reference coefficient, as
+    Python floats: what segment_factor reads of the metric."""
+    return m.d, [(*u, *f)
+                 for u, f in zip(m.u_columns().tolist(), m.F.tolist())]
 
-    rows are (duration, alpha, beta) triples, PathSegments included; each
-    contributes the factor exp(duration * (sum alpha_i u_i
-    + sum (d alpha_i + beta_i) f_i)).  The loop runs on Python floats:
-    the same Rodrigues exponential and Hamilton product as exp_group and
-    mul, without building an element per factor.  Non-finite
-    coefficients raise ValueError, as AlgebraElement does.
-    """
-    d = m.d
-    # one (u row, f row) per reference coefficient
-    UF = [(*u, *f) for u, f in zip(m.u_columns().tolist(), m.F.tolist())]
+
+def segment_factor(d, UF, duration, alpha, beta):
+    """Quaternion factor (w, x, y, z) and translation increment
+    (t1, t2, t3) of exp(duration * (sum alpha_i u_i
+    + sum (d alpha_i + beta_i) f_i)), as one 7-tuple of floats; (d, UF)
+    is factor_table(m).  The Rodrigues exponential of exp_group on
+    Python floats; a rotation norm that overflows raises ValueError from
+    math.sin(inf)."""
+    a1, a2, a3 = alpha
+    b1, b2, b3 = beta
+    g1, g2, g3 = d * a1 + b1, d * a2 + b2, d * a3 + b3
+    c1, c2, c3, c4, c5, c6 = [
+        duration * ((u1 * a1 + u2 * a2 + u3 * a3)
+                    + (f1 * g1 + f2 * g2 + f3 * g3))
+        for u1, u2, u3, f1, f2, f3 in UF]
+    rho = 0.5 * math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
+    k = 0.5 * math.sin(rho) / rho if rho > 0.0 else 0.5
+    return math.cos(rho), k * c1, k * c2, k * c3, c4, c5, c6
+
+
+def factor_product(factors) -> GroupElement:
+    """Group element of segment_factor factors multiplied left to right:
+    mul's Hamilton product on Python floats, translations summed in
+    order.  A non-finite result raises ValueError, as AlgebraElement
+    does for non-finite coefficients."""
     w, x, y, z = 1.0, 0.0, 0.0, 0.0
     t1 = t2 = t3 = 0.0
-    for duration, (a1, a2, a3), (b1, b2, b3) in rows:
-        g1, g2, g3 = d * a1 + b1, d * a2 + b2, d * a3 + b3
-        c1, c2, c3, c4, c5, c6 = [
-            duration * ((u1 * a1 + u2 * a2 + u3 * a3)
-                        + (f1 * g1 + f2 * g2 + f3 * g3))
-            for u1, u2, u3, f1, f2, f3 in UF]
-        rho = 0.5 * math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-        k = 0.5 * math.sin(rho) / rho if rho > 0.0 else 0.5
-        w2, x2, y2, z2 = math.cos(rho), k * c1, k * c2, k * c3
+    for w2, x2, y2, z2, c4, c5, c6 in factors:
         w, x, y, z = (w * w2 - x * x2 - y * y2 - z * z2,
                       w * x2 + x * w2 + y * z2 - z * y2,
                       w * y2 - x * z2 + y * w2 + z * x2,
@@ -367,6 +377,21 @@ def segment_product(m: DecoupledMetric, rows) -> GroupElement:
         raise ValueError("non-finite coefficients")
     return GroupElement.from_quat(np.array([w, x, y, z]),
                                   np.array([t1, t2, t3]))
+
+
+def segment_product(m: DecoupledMetric, rows) -> GroupElement:
+    """Exact endpoint of piecewise-constant controls from the identity.
+
+    rows are (duration, alpha, beta) triples, PathSegments included; each
+    contributes the factor exp(duration * (sum alpha_i u_i
+    + sum (d alpha_i + beta_i) f_i)).  It is factor_product of the rows'
+    segment_factor factors: the same Rodrigues exponential and Hamilton
+    product as exp_group and mul, without building an element per
+    factor.  Non-finite coefficients raise ValueError.
+    """
+    d, UF = factor_table(m)
+    return factor_product(segment_factor(d, UF, duration, alpha, beta)
+                          for duration, alpha, beta in rows)
 
 
 def path_length(m: DecoupledMetric, p: ControlPath) -> float:

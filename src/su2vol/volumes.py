@@ -197,11 +197,12 @@ def hexagon_area_window(h: Hexagon, half_window: float) -> float:
         raise InvalidHexagon("window half-width must be in (0, 2 pi]")
     W = half_window
     # per-patch sums first, then across patches: another order would move
-    # the areas at rounding level
-    return sum(sum(2.0 * W * (b - a) if saturated
-                   else _narrow_integral(h, a, b, edges, W)
-                   for a, b, _, _, saturated in pieces)
-               for edges, pieces in _pieces(h))
+    # the areas at rounding level; the 0.0 start keeps a hexagon without
+    # patches a float
+    return sum((sum(2.0 * W * (b - a) if saturated
+                    else _narrow_integral(h, a, b, edges, W)
+                    for a, b, _, _, saturated in pieces)
+                for edges, pieces in _pieces(h)), 0.0)
 
 
 def hexagon_area(h: Hexagon) -> float:

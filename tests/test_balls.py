@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -18,7 +19,8 @@ from su2vol.balls import (
     _speed_floor, _theta_mass, ball_volume,
     distance_bracket, default_sweep_grid, sweep, word_upper_bound,
 )
-from su2vol.frames import euler_quat, path_length, segment_product
+from su2vol.frames import (ControlPath, PathSegment, euler_quat, path_length,
+                           segment_product)
 from su2vol.metrics import MetricTensor, from_parameters, reduce_to_decoupled
 from su2vol.volumes import (
     EstimatorInputs, Side, containment_sets, hexagon_area,
@@ -312,6 +314,164 @@ def test_distance_budget_monotone():
     uppers = [distance_bracket(m, p, budget=b).upper for b in (0, 1, 3)]
     assert uppers[1] <= uppers[0] * (1.0 + 1e-12)
     assert uppers[2] <= uppers[1] * (1.0 + 1e-12)
+
+
+def _rotated_metric(rng):
+    # the distance workload's metrics: rotated frames, nonzero tilt
+    a = rng.normal(size=(6, 6))
+    return reduce_to_decoupled(MetricTensor(a @ a.T / 32.0 + np.eye(6)))
+
+
+def _uncached_objective(m, p, z, pen):
+    path = ControlPath([PathSegment(0.125, row[:3], row[3:])
+                        for row in z.reshape(8, 6)])
+    length = path_length(m, path)
+    return length + pen * g0_distance_between(
+        segment_product(m, path.segments), p)
+
+
+def test_powell_objective_cache_is_exact(monkeypatch):
+    # a Powell-like input sequence: every value equals the uncached length
+    # plus penalty, and only slots whose bytes changed are recomputed
+    rng = np.random.default_rng(55)
+    m = _rotated_metric(rng)
+    p = exp_group(AlgebraElement(0.8 * rng.normal(size=6)))
+    pen = 10.0 * _lambda_max(float(np.max(m.a)), m.d) + 10.0
+    recomputed = []
+    factor = balls.segment_factor
+
+    def counting(d, UF, duration, alpha, beta):
+        recomputed.append(alpha + beta)
+        return factor(d, UF, duration, alpha, beta)
+
+    monkeypatch.setattr(balls, "segment_factor", counting)
+    objective = balls._powell_objective(m, p, 8, pen)
+
+    z0 = rng.normal(size=48)
+    z0[9] = 0.0
+    steps = [(z0, 8)]
+    z = z0.copy()
+    for k in (0, 7, 13, 47):
+        z = z.copy()
+        z[k] += 0.3
+        steps.append((z, 1))
+    steps.append((z0, 4))
+    for zi, changed in steps:
+        recomputed.clear()
+        assert objective(zi) == _uncached_objective(m, p, zi, pen)
+        assert len(recomputed) == changed
+    # -0.0 and +0.0 are different bytes, so neither hits the other's entry
+    for zero in (-0.0, 0.0):
+        zi = z0.copy()
+        zi[9] = zero
+        recomputed.clear()
+        assert objective(zi) == _uncached_objective(m, p, zi, pen)
+        assert [math.copysign(1.0, row[3]) for row in recomputed] == [
+            math.copysign(1.0, zero)]
+
+    bad = z0.copy()
+    bad[20] = math.nan
+    overflow = z0.copy()
+    overflow[42:45] = (1e300, 0.0, 0.0)
+    for zi in (bad, overflow):
+        with pytest.raises(ValueError):
+            _uncached_objective(m, p, zi, pen)
+        with pytest.raises(ValueError):
+            objective(zi)
+        assert objective(z0) == _uncached_objective(m, p, z0, pen)
+
+
+def test_distance_powell_programming_errors_propagate(monkeypatch):
+    # only the objective's documented failures skip a Powell run
+    def broken(*args):
+        raise TypeError("broken factor")
+
+    monkeypatch.setattr(balls, "segment_factor", broken)
+    m = from_parameters(0.5, 1.0, 4.0, 2.0)
+    p = exp_group(AlgebraElement(np.array([0.4, -0.2, 0.6, 0.3, 0.0,
+                                           -0.5])))
+    assert distance_bracket(m, p, budget=0).upper > 0.0
+    with pytest.raises(TypeError):
+        distance_bracket(m, p, budget=1)
+
+
+# distance_bracket(budget=2) on the distance workload's recipe, rng seed
+# 13: float.hex of lower, upper, each witness segment (duration, alpha,
+# beta) and the final objective value of each of the 10 Powell runs.  On
+# these inputs Powell does not beat the budget-0 witness, so the Powell
+# values are what catches a drifting trajectory.
+_BUDGET2_PINS = [
+    ("0x1.a12463559572dp+0", "0x1.e041bc233b150p+0",
+     [("0x1.0000000000000p+0",
+       ("0x1.8cb4fe2973f7fp-5", "-0x1.cb43573b7b85fp-1",
+        "0x1.b8015feea128ep-1"),
+       ("0x1.0ccebf9b7a2f6p-1", "-0x1.cb5c4dcce35ccp-1",
+        "-0x1.5a4e4ae95fea2p-1")),
+      ("0x1.0000000000000p+0",
+       ("0x1.7d8619322f951p-54", "-0x1.dfd73c45f587fp-54",
+        "0x1.b84a74a678152p-52"),
+       ("-0x1.bef57cb33885bp-56", "0x1.1911b0acba54ap-55",
+        "-0x1.03ce19bcf91bap-54"))],
+     ["0x1.209534d8c35a3p+5", "0x1.d37c5fba817f3p+6", "0x1.2c0aa4ec810b8p+1",
+      "0x1.5016ce0810f5fp+1", "0x1.4f072e2985a95p+1", "0x1.20942e1b06835p+5",
+      "0x1.b19beabd99a78p+6", "0x1.2c07608a49123p+1", "0x1.5012bdebdf6edp+1",
+      "0x1.4f035f920054dp+1"]),
+    ("0x1.153eeb06df9b5p+1", "0x1.1cd2539e1cd15p+1",
+     [("0x1.0000000000000p+0",
+       ("-0x1.26a852b3128afp-1", "0x1.fd5d4b3107602p-3",
+        "0x1.601c7962c5af4p-3"),
+       ("-0x1.6d1c6a2dac97bp+0", "-0x1.55268a6f5db7fp+0",
+        "0x1.ac81dbf0a6704p-1")),
+      ("0x1.0000000000000p+0",
+       ("0x1.b44bcd6843d05p-53", "0x1.7aa43f607fb91p-53",
+        "0x1.40b137778bb54p-53"),
+       ("-0x1.37d407d6c1b9bp-55", "-0x1.0e9f20341eae7p-55",
+        "-0x1.ca688dc8de6ebp-56"))],
+     ["0x1.0302eced3bf73p+6", "0x1.17fec7d072c75p+7", "0x1.6b84922e5336ep+1",
+      "0x1.6883a41f52e81p+1", "0x1.799bc9cb72e50p+1", "0x1.0302e28778ac2p+6",
+      "0x1.0b49d308d265ep+7", "0x1.6b8461baff6a5p+1", "0x1.68836539540c5p+1",
+      "0x1.799b9a99ba8b7p+1"]),
+    ("0x1.20c1085668913p+1", "0x1.4634fbd279359p+1",
+     [("0x1.0000000000000p+0",
+       ("0x1.12a983d3a9723p-1", "-0x1.ec964309d6a73p-1",
+        "0x1.e4d31d5a929f0p+0"),
+       ("-0x1.74ffdb463f564p-3", "0x1.b474ff0f81968p-1",
+        "0x1.0be6d75c38998p-5")),
+      ("0x1.0000000000000p+0",
+       ("0x1.40a43a35cb359p-51", "0x1.61784638d483bp-52",
+        "0x1.20efe74f0c732p-53"),
+       ("-0x1.8bc29b6391c13p-54", "-0x1.fad4f7f0a87fep-55",
+        "-0x1.9e4cce00facb3p-56"))],
+     ["0x1.63577393c685cp+4", "0x1.8f3ddf5436adap+6", "0x1.9d9843473cd75p+1",
+      "0x1.b4a6b92a88e20p+1", "0x1.abdc1ddaa4e85p+1", "0x1.63565c21213ddp+4",
+      "0x1.7f021cf2f6531p+6", "0x1.9d98066cd4509p+1", "0x1.b4a676ddbeba7p+1",
+      "0x1.abdbd0b9b64f9p+1"]),
+]
+
+
+def test_distance_budget2_brackets_are_pinned(monkeypatch):
+    finals = []
+    minimize = balls.optimize.minimize
+
+    def recording(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        finals.append(float(res.fun).hex())
+        return res
+
+    monkeypatch.setattr(balls, "optimize",
+                        types.SimpleNamespace(minimize=recording))
+    rng = np.random.default_rng(13)
+    for lower, upper, witness, powell in _BUDGET2_PINS:
+        m = _rotated_metric(rng)
+        p = exp_group(AlgebraElement(0.8 * rng.normal(size=6)))
+        finals.clear()
+        db = distance_bracket(m, p, budget=2)
+        assert (db.lower.hex(), db.upper.hex()) == (lower, upper)
+        assert [(float(s.duration).hex(),
+                 tuple(float(v).hex() for v in s.alpha),
+                 tuple(float(v).hex() for v in s.beta))
+                for s in db.witness.segments] == witness
+        assert finals == powell
 
 
 def test_lambda_max_closed_form_matches_eigensolver():

@@ -221,6 +221,16 @@ def test_window_areas_pinned_per_branch(shape):
     assert got == PINNED_AREAS[shape]
 
 
+def test_areas_are_floats_without_patches():
+    # no height or no width: an empty piece list still sums to a float
+    for shape in ((1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0),
+                  (1.0, 1.0, 0.0, 0.0)):
+        h = Hexagon(*shape)
+        for area in (hexagon_area(h), hexagon_area_truncated(h, 0.5)):
+            assert type(area) is float
+            assert area.hex() == "0x0.0p+0"
+
+
 def test_pieces_cover_branches():
     # the pinned shapes reach each kind of piece the list can hold
     flags = {shape: [[p[4] for p in pieces]
