@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy import optimize, special
@@ -685,19 +686,17 @@ _LOG_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 _D_GRID = (0.0, 1.0, 100.0, 10000.0)
 
 
+def sweep_cells(triples, d_vals, r_vals):
+    """Each a-triple crossed with the tilts and then the radii."""
+    return [{"a": a, "d": d, "r": r}
+            for a in triples for d in d_vals for r in r_vals]
+
+
 def default_sweep_grid(a_vals=_LOG_GRID, d_vals=_D_GRID, r_vals=_LOG_GRID):
     """Ascending triples from a_vals crossed with tilts and radii; the
     defaults give the 700-cell log grid."""
-    vals = tuple(sorted(set(a_vals)))
-    cells = []
-    for i1, a1 in enumerate(vals):
-        for i2 in range(i1, len(vals)):
-            for i3 in range(i2, len(vals)):
-                for d in d_vals:
-                    for r in r_vals:
-                        cells.append({"a": (a1, vals[i2], vals[i3]),
-                                      "d": d, "r": r})
-    return cells
+    triples = combinations_with_replacement(sorted(set(a_vals)), 3)
+    return sweep_cells(triples, d_vals, r_vals)
 
 
 def _seed_from(master, *key):
@@ -734,16 +733,15 @@ def _mdd_empirical(a, d, r, eta, iota, seed):
     return float(np.max(upper) / r)
 
 
-def sweep(grid=None, samples: int = 10000, seed: int = 0,
+def sweep(grid, samples: int = 10000, seed: int = 0,
           eta: float = 0.1, iota: float = math.pi / 4):
-    """Run the sandwich / doubling verification sweep.
+    """Run the sandwich / doubling verification sweep over the cells of
+    grid, such as default_sweep_grid().
 
     Returns {"rows": [...], "summary": {...}}; each row is an ordered dict
     of plain floats and strings so reports serialize deterministically.
     Per-cell errors are recorded in the row's flags, never raised.
     """
-    if grid is None:
-        grid = default_sweep_grid()
     rows = []
     calc_bound = vbar_g_doubling_bound()
     for idx, cell in enumerate(grid):

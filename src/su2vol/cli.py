@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraElement, GroupElement, exp_group, log_su2, mul
-from .balls import SWEEP_COLUMNS, ball_volume, default_sweep_grid, sweep
+from .balls import (SWEEP_COLUMNS, ball_volume, default_sweep_grid, sweep,
+                    sweep_cells)
 from .frames import (CollisionClass, Coordinates, adjoint_rotate,
                      commutator_identity, jacobian, psi,
                      psi_collision_classify, word_group_element)
@@ -37,23 +38,47 @@ def _float_list(raw):
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
-# every config key: its parser and its default
+# the values a key accepts: a predicate, and the same rule in words
+_ANY = (lambda v: True, "any path")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
+_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
+
+
+def _grid(rule):
+    accepts, words = rule
+    return (lambda grid: len(grid) > 0 and all(accepts(v) for v in grid),
+            f"a non-empty list, each {words}")
+
+
+# every config key: its parser, its default and the values it accepts;
+# a grid left unset (None) is its axis's single value
 _KEYS = {
-    "eta": (float, 0.1),
-    "iota": (float, math.pi / 4.0),
-    "seed": (int, 0),
-    "samples": (int, 10000),
-    "format": (str, "csv"),
-    "out": (str, "."),
-    "a1": (float, 1.0), "a2": (float, 1.0), "a3": (float, 1.0),
-    "d": (float, 0.0), "r": (float, 0.1),
-    "a_grid": (_float_list, None), "d_grid": (_float_list, None),
-    "r_grid": (_float_list, None),
+    "eta": (float, 0.1, _POSITIVE),
+    "iota": (float, math.pi / 4.0,
+             (lambda v: 0.0 < v <= math.pi / 3.0, "in (0, pi/3]")),
+    "seed": (int, 0, (lambda v: v >= 0, ">= 0")),
+    "samples": (int, 10000, (lambda v: v >= 1, ">= 1")),
+    "format": (str, "csv", (lambda v: v in ("csv", "json"), "csv or json")),
+    "out": (str, ".", _ANY),
+    "a1": (float, 1.0, _POSITIVE), "a2": (float, 1.0, _POSITIVE),
+    "a3": (float, 1.0, _POSITIVE),
+    "d": (float, 0.0, _NONNEGATIVE), "r": (float, 0.1, _POSITIVE),
+    "a_grid": (_float_list, None, _grid(_POSITIVE)),
+    "d_grid": (_float_list, None, _grid(_NONNEGATIVE)),
+    "r_grid": (_float_list, None, _grid(_POSITIVE)),
+}
+# the command line flags; those named after a config key override it
+_FLAG_OPTIONS = {
+    "config": {"help": "key=value config file"},
+    "seed": {"type": int},
+    "samples": {"type": int},
+    "out": {"help": "output directory"},
+    "format": {"choices": ("csv", "json")},
 }
 
 
 def default_config():
-    return {key: default for key, (_, default) in _KEYS.items()}
+    return {key: default for key, (_, default, _) in _KEYS.items()}
 
 
 def _parse_config_text(text):
@@ -86,37 +111,18 @@ def load_config(args):
             raise ConfigError(f"config file not found: {path}")
         for key, raw in _parse_config_text(path.read_text()).items():
             cfg[key] = _convert(key, raw)
-    for key in ("seed", "samples", "out", "format"):
+    for key in _FLAG_OPTIONS:
         val = getattr(args, key, None)
-        if val is not None:
+        if key in _KEYS and val is not None:
             cfg[key] = val
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg):
-    if cfg["eta"] <= 0.0:
-        raise ConfigError("eta must be positive")
-    if not 0.0 < cfg["iota"] <= math.pi / 3.0:
-        raise ConfigError("iota must be in (0, pi/3]")
-    if cfg["samples"] < 1:
-        raise ConfigError("samples must be >= 1")
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be nonnegative")
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
-    for key in ("a_grid", "r_grid"):
-        grid = cfg[key]
-        if grid is not None and (not grid or any(v <= 0.0 for v in grid)):
-            raise ConfigError(f"{key} entries must be positive")
-    if cfg["d_grid"] is not None and any(v < 0.0 for v in cfg["d_grid"]):
-        raise ConfigError("d_grid entries must be nonnegative")
-    if not (0.0 < cfg["a1"] and 0.0 < cfg["a2"] and 0.0 < cfg["a3"]):
-        raise ConfigError("a1, a2, a3 must be positive")
-    if cfg["d"] < 0.0:
-        raise ConfigError("d must be nonnegative")
-    if cfg["r"] <= 0.0:
-        raise ConfigError("r must be positive")
+    for key, (_, _, (accepts, words)) in _KEYS.items():
+        if cfg[key] is not None and not accepts(cfg[key]):
+            raise ConfigError(f"{key} must be {words}, got {cfg[key]!r}")
 
 
 def _fmt(value):
@@ -176,44 +182,22 @@ _JACOBIAN_TOL = 1e-5
 _COLLISION_TOL = 0.0
 
 
-def _word_residual(s, t, metric, use_v=False):
-    f, _ = commutator_identity(s, t)
-    got = word_group_element(s, t, (0, 1, 2), use_v=use_v, m=metric)
-    want = exp_group(AlgebraElement(f * metric.u_columns()[:, 2]))
-    return max(float(np.max(np.abs(got.su2 - want.su2))),
-               float(np.max(np.abs(got.vec - want.vec))))
-
-
-def _check_words_grid():
-    standard = from_parameters(1.0, 1.0, 1.0, 0.0)
+def _check_words(cases):
+    """Largest residual of the commutator word against its one-factor
+    identity over (s, t, metric, use_v) cases."""
     worst = 0.0
-    for s in np.linspace(-math.pi, math.pi, 50):
-        for t in np.linspace(-math.pi / 2.0, math.pi / 2.0, 50):
-            worst = max(worst, _word_residual(float(s), float(t), standard))
-    return worst, 2500
+    for s, t, metric, use_v in cases:
+        f, _ = commutator_identity(s, t)
+        got = word_group_element(s, t, (0, 1, 2), use_v=use_v, m=metric)
+        want = exp_group(AlgebraElement(f * metric.u_columns()[:, 2]))
+        worst = max(worst, float(np.max(np.abs(got.su2 - want.su2))),
+                    float(np.max(np.abs(got.vec - want.vec))))
+    return worst, len(cases)
 
 
-def _check_words_random(rng):
-    standard = from_parameters(1.0, 1.0, 1.0, 0.0)
-    worst = 0.0
-    for _ in range(1000):
-        s = float(rng.uniform(-math.pi, math.pi))
-        t = float(rng.uniform(-math.pi / 2.0, math.pi / 2.0))
-        worst = max(worst, _word_residual(s, t, standard))
-    return worst, 1000
-
-
-def _check_words_tilted(rng):
-    worst = 0.0
-    count = 0
-    for d in (0.0, 0.5, 10.0):
-        metric = from_parameters(1.0, 1.0, 1.0, d)
-        for _ in range(200):
-            s = float(rng.uniform(-math.pi, math.pi))
-            t = float(rng.uniform(-math.pi / 2.0, math.pi / 2.0))
-            worst = max(worst, _word_residual(s, t, metric, use_v=True))
-            count += 1
-    return worst, count
+def _random_word_angles(rng):
+    return (float(rng.uniform(-math.pi, math.pi)),
+            float(rng.uniform(-math.pi / 2.0, math.pi / 2.0)))
 
 
 def _check_adjoint(rng):
@@ -301,10 +285,22 @@ def _check_collisions(rng):
 def cmd_verify_identities(cfg):
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     t0 = time.time()
+    standard = from_parameters(1.0, 1.0, 1.0, 0.0)
+    grid = [(float(s), float(t), standard, False)
+            for s in np.linspace(-math.pi, math.pi, 50)
+            for t in np.linspace(-math.pi / 2.0, math.pi / 2.0, 50)]
+    # drawn before the other checks, 1000 standard pairs and then 200
+    # pairs through each tilted frame's v
+    drawn = [(*_random_word_angles(rng), standard, False)
+             for _ in range(1000)]
+    tilted = [(*_random_word_angles(rng), metric, True)
+              for metric in (from_parameters(1.0, 1.0, 1.0, d)
+                             for d in (0.0, 0.5, 10.0))
+              for _ in range(200)]
     checks = [
-        ("word_grid", *_check_words_grid(), _WORD_TOL),
-        ("word_random", *_check_words_random(rng), _WORD_TOL),
-        ("word_tilted_frame", *_check_words_tilted(rng), _WORD_TOL),
+        ("word_grid", *_check_words(grid), _WORD_TOL),
+        ("word_random", *_check_words(drawn), _WORD_TOL),
+        ("word_tilted_frame", *_check_words(tilted), _WORD_TOL),
         ("adjoint_rotation", *_check_adjoint(rng), _ADJOINT_TOL),
         ("exp_consistency", *_check_rodrigues(rng), _RODRIGUES_TOL),
         ("chart_jacobian_fd", *_check_jacobian(rng), _JACOBIAN_TOL),
@@ -371,6 +367,10 @@ def cmd_reduce(metric_path):
 
 # -- estimate ----------------------------------------------------------------
 
+def _configured_triple(cfg):
+    return tuple(sorted((cfg["a1"], cfg["a2"], cfg["a3"])))
+
+
 def _grid_cells(cfg):
     """The config's grid; an unset axis is its one configured value, and
     an unset a_grid the one triple sorted((a1, a2, a3))."""
@@ -378,8 +378,7 @@ def _grid_cells(cfg):
     r_vals = cfg["r_grid"] or (cfg["r"],)
     if cfg["a_grid"] is not None:
         return default_sweep_grid(cfg["a_grid"], d_vals, r_vals)
-    a = tuple(sorted((cfg["a1"], cfg["a2"], cfg["a3"])))
-    return [{"a": a, "d": d, "r": r} for d in d_vals for r in r_vals]
+    return sweep_cells([_configured_triple(cfg)], d_vals, r_vals)
 
 
 def cmd_estimate(cfg):
@@ -411,10 +410,9 @@ def cmd_estimate(cfg):
 # -- ball-volume -------------------------------------------------------------
 
 def cmd_ball_volume(cfg):
-    a_sorted = tuple(sorted((cfg["a1"], cfg["a2"], cfg["a3"])))
+    a_sorted = _configured_triple(cfg)
     try:
-        metric = from_parameters(a_sorted[0], a_sorted[1], a_sorted[2],
-                                 cfg["d"])
+        metric = from_parameters(*a_sorted, cfg["d"])
         vb = ball_volume(metric, cfg["r"], cfg["samples"], cfg["seed"],
                          cfg["eta"])
     except (InvalidParameters, ValueError) as exc:
@@ -442,7 +440,7 @@ def cmd_sweep(cfg):
     t0 = time.time()
     # with no grid key set, the sweep runs its default grid
     gridded = any(cfg[k] is not None for k in ("a_grid", "d_grid", "r_grid"))
-    report = sweep(_grid_cells(cfg) if gridded else None,
+    report = sweep(_grid_cells(cfg) if gridded else default_sweep_grid(),
                    samples=cfg["samples"], seed=cfg["seed"], eta=cfg["eta"],
                    iota=cfg["iota"])
     out_dir = Path(cfg["out"])
@@ -472,13 +470,6 @@ def cmd_sweep(cfg):
 
 # -- entry point -------------------------------------------------------------
 
-_FLAG_OPTIONS = {
-    "config": {"help": "key=value config file"},
-    "seed": {"type": int},
-    "samples": {"type": int},
-    "out": {"help": "output directory"},
-    "format": {"choices": ("csv", "json")},
-}
 # the flags each subcommand reads; reduce reads only its metric file
 _COMMANDS = {
     "verify-identities": (cmd_verify_identities,

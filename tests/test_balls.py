@@ -19,8 +19,8 @@ from su2vol.balls import (
     _speed_floor, _theta_mass, ball_volume,
     distance_bracket, default_sweep_grid, sweep, word_upper_bound,
 )
-from su2vol.frames import (ControlPath, PathSegment, euler_quat, path_length,
-                           segment_product)
+from su2vol.frames import (ControlPath, PathSegment, chart_angles, euler_quat,
+                           path_length, segment_product)
 from su2vol.metrics import MetricTensor, from_parameters, reduce_to_decoupled
 from su2vol.volumes import (
     EstimatorInputs, Side, containment_sets, hexagon_area,
@@ -725,6 +725,28 @@ def test_certified_bounds_gate_is_exact():
             npt.assert_array_equal(up[up_all <= r], up_all[up_all <= r])
             raised += np.count_nonzero(up > up_all)
     assert raised > 0
+
+
+def test_built_witnesses_never_exceed_vectorised_upper():
+    # a draw whose vectorised upper is <= r counts as a certain ball hit;
+    # distance_bracket builds the same candidates as explicit paths, so
+    # its witness is never longer than that bound
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        a = np.sort(10.0 ** rng.uniform(-1.5, 1.5, 3))
+        d = float(rng.choice([0.0, 0.5, 3.0, 30.0]))
+        m = from_parameters(*a.tolist(), d)
+        x_scale, y_scale = 10.0 ** rng.uniform(
+            -2.0, [math.log10(math.pi), math.log10(3.0)])
+        x = np.array(chart_angles(np.array(euler_quat(
+            *(x_scale * rng.uniform(-1.0, 1.0, 3))))))
+        y = y_scale * rng.normal(size=3)
+        # from_parameters uses the Pauli triple and the standard central
+        # frame, so p has chart angles x and central coordinates y there
+        p = GroupElement.from_quat(np.array(euler_quat(*x)), y)
+        _, upper = _certified_bounds(a, d, x[None, :], y[None, :])
+        assert distance_bracket(m, p, budget=0).upper <= \
+            upper[0] * (1.0 + 1e-12)
 
 
 # (lower, upper, ambiguous_mass) as float.hex, mode and flags at seed 3,

@@ -224,6 +224,20 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "ball-volume", "sweep"])
+@pytest.mark.parametrize("line", ["eta=nan", "r=nan", "d=nan", "a1=inf",
+                                  "r_grid=0.1,inf", "a_grid=1,nan",
+                                  "d_grid="])
+def test_non_finite_or_empty_values_exit_2(tmp_path, capsys, command, line):
+    # r_grid makes the sweep one cell, so an accepted value would run fast
+    cfg = _write(tmp_path / "bad.cfg", f"samples=100\nr_grid=0.1\n{line}\n")
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    key = line.split("=")[0]
+    assert f"config error: {key} " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--seed", "1", "m.csv"],
     ["reduce", "--config", "c.cfg", "m.csv"],
