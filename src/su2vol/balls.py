@@ -74,44 +74,50 @@ class VolumeBracket:
 
 # -- constructive word paths -------------------------------------------------
 
-def _solve_word_angle(phi, t):
-    """s with commutator_identity(s, t)[0] == phi, for |phi| within reach."""
-    ratio = math.sin(abs(phi) / 4.0) / math.sin(t / 2.0)
-    s = 2.0 * math.asin(min(1.0, ratio))
-    return math.copysign(s, phi)
+def _balanced_words(phi, s_cap, t_cap):
+    """(n_rep, s, t), vectorized: n_rep copies of the 7-factor word with
+    A-turn s and B-turn t = min(t_cap, pi / 2) realize e^{phi [u_A, u_B]}.
+    n_rep is the fewest copies whose largest turn f(min(s_cap, pi), t)
+    reaches |phi|, inf where that turn is 0, and s solves f(s, t) =
+    phi / n_rep, f as in commutator_identity.  As |tau| <= t / 2, the
+    word's length is at most n_rep (2 a_A |s| + 3 a_B t)."""
+    t = np.minimum(t_cap, 0.5 * math.pi)
+    sin_t = np.sin(0.5 * t)
+    reach = 4.0 * np.arcsin(np.sin(0.5 * np.minimum(s_cap, math.pi)) * sin_t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_rep = np.maximum(1.0, np.ceil(np.abs(phi) / reach))
+        ratio = np.sin(np.abs(phi) / n_rep / 4.0) / sin_t
+    return n_rep, np.copysign(2.0 * np.arcsin(np.fmin(1.0, ratio)), phi), t
 
 
-def _repeated_word(A, B, i, phi, s_cap, t_cap):
-    """(word, n_rep): n_rep copies of the 7-factor word on axes (A, B, i)
-    realize e^{phi [u_A, u_B]}, which is e^{+-phi u_i}, with the A-turn
-    within min(s_cap, pi) and the B-turn at min(t_cap, pi / 2).  None
-    when the word would repeat more than MAX_WORD_REPEATS times."""
-    if phi == 0.0:
-        return [], 1
-    t = min(t_cap, 0.5 * math.pi)
-    f_max, _ = commutator_identity(min(s_cap, math.pi), t)
-    if not f_max > 0.0 or abs(phi) / f_max > MAX_WORD_REPEATS:
+def _repeated_word(n_rep, s, t, axes):
+    """n_rep copies of the 7-factor word with turns (s, t) on axes (A, B, i),
+    whose product is e^{n_rep f(s, t) [u_A, u_B]}; None when n_rep exceeds
+    MAX_WORD_REPEATS."""
+    if not n_rep <= MAX_WORD_REPEATS:
         return None
-    n_rep = max(1, math.ceil(abs(phi) / f_max))
-    return word_factors(_solve_word_angle(phi / n_rep, t), t, (A, B, i)), n_rep
+    return word_factors(float(s), float(t), axes) * int(n_rep)
 
 
 def _second_order_factors(A, B, i, eps, sigma, caps):
     """Factors for e^{sigma u_i} from an outer word on (A, B), whose bracket
     is eps u_i, where each B-rotation is itself an inner word on (A, i),
-    whose bracket is -eps u_B."""
-    inner_t = min(caps[i], 0.5 * math.pi)
-    reach, _ = commutator_identity(min(caps[A], math.pi), inner_t)
-    outer, n_rep = (_repeated_word(A, B, i, eps * sigma, caps[A],
-                                   0.999 * reach) or ([], 0))
+    whose bracket is -eps u_B.  The outer B-turns stay below the inner
+    words' largest turn, so each inner word is one copy."""
+    if sigma == 0.0:
+        return []
+    reach, _ = commutator_identity(min(caps[A], math.pi),
+                                   min(caps[i], 0.5 * math.pi))
+    outer = _repeated_word(*_balanced_words(eps * sigma, caps[A],
+                                            0.999 * reach), (A, B, i))
     expanded = []
-    for axis, angle in outer:
+    for axis, angle in outer or []:
         if axis != B or angle == 0.0:
             expanded.append((axis, angle))
-            continue
-        s_in = _solve_word_angle(-eps * angle, inner_t)
-        expanded.extend(word_factors(s_in, inner_t, (A, i, B)))
-    return expanded * n_rep
+        else:
+            expanded.extend(_repeated_word(*_balanced_words(
+                -eps * angle, caps[A], caps[i]), (A, i, B)))
+    return expanded
 
 
 def _word_gap(m, i, phi, rows):
@@ -146,9 +152,8 @@ def word_upper_bound(m: DecoupledMetric, axis: int, sigma: float,
     part_c = rem - part_b
     # a word that would repeat too often is left out, and the residual
     # check below rejects the path
-    word, n_rep = (_repeated_word(j, k, i, part_a, caps[j], caps[k])
-                   or ([], 0))
-    factors = word * n_rep
+    factors = _repeated_word(*_balanced_words(part_a, caps[j], caps[k]),
+                             (j, k, i)) or []
     factors += _second_order_factors(j, k, i, 1.0, part_b, caps)
     factors += _second_order_factors(k, j, i, -1.0, part_c, caps)
     rows = word_rows(factors, 0.0)
@@ -160,24 +165,26 @@ def word_upper_bound(m: DecoupledMetric, axis: int, sigma: float,
 
 # -- vectorized certified bounds ---------------------------------------------
 
-def _axis_word_cost(a, i, phi):
-    """Length bound for realizing e^{phi u_i} by balanced words, vectorized.
-
-    Existence bound only: for the optimal scaled caps there is an exact
-    word of at most this length, using f(s, t) >= s t / sqrt(8).
-    """
-    phi = np.abs(np.asarray(phi, dtype=float))
+def _axis_words(a, i, phi):
+    """The two balanced-word choices for e^{phi u_i}, phi a scalar or an
+    array: per axis pair (A, B), its price n_rep (2 a_A |s| + 3 a_B t) and
+    the (n_rep, s, t, (A, B, i)) of its word.  The caps balance the turns'
+    costs, 2 a_A s_cap = 3 a_B t_cap, at s_cap t_cap = sqrt(8) |phi|."""
     j, k = (i + 1) % 3, (i + 2) % 3
-    scaled = SQRT8 * phi
-    costs = []
-    for A, B in ((j, k), (k, j)):
+    scaled = SQRT8 * np.abs(phi)
+    for A, B, eps in ((j, k, 1.0), (k, j, -1.0)):
         ca, cb = 2.0 * a[A], 3.0 * a[B]
-        s = np.minimum(np.sqrt(scaled * cb / ca), math.pi)
-        t = np.minimum(np.sqrt(scaled * ca / cb), 0.5 * math.pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n_rep = np.ceil(phi / (s * t / SQRT8))
-        costs.append(n_rep * (ca * s + cb * t))
-    return np.where(phi > 0.0, np.minimum(*costs), 0.0)
+        n_rep, s, t = _balanced_words(eps * phi, np.sqrt(scaled * cb / ca),
+                                      np.sqrt(scaled * ca / cb))
+        yield n_rep * (ca * np.abs(s) + cb * t), (n_rep, s, t, (A, B, i))
+
+
+def _axis_word_cost(a, i, phi):
+    """Length bound, vectorized, of the word _word_factors_free builds for
+    e^{phi u_i}: the cheaper pair's price.  Words beyond MAX_WORD_REPEATS
+    are priced too; they exist, they are only not built."""
+    (price_a, _), (price_b, _) = _axis_words(a, i, phi)
+    return np.where(np.asarray(phi) != 0.0, np.minimum(price_a, price_b), 0.0)
 
 
 def _speed_floor(a_min, d, theta, y_norm):
@@ -327,29 +334,13 @@ def _coordinate_candidates(m, p):
 
 
 def _word_factors_free(a, i, phi):
-    """Concrete word factors for e^{phi u_i} with freely optimized caps;
-    None when every word would repeat more than MAX_WORD_REPEATS times."""
+    """Concrete factors of the word _axis_word_cost prices for e^{phi u_i},
+    the first pair's on a tie; None when it would repeat more than
+    MAX_WORD_REPEATS times."""
     if phi == 0.0:
         return []
-    j, k = (i + 1) % 3, (i + 2) % 3
-    best = None
-    best_cost = np.inf
-    for A, B in ((j, k), (k, j)):
-        ca, cb = 2.0 * a[A], 3.0 * a[B]
-        eps = 1.0 if (A, B) == (j, k) else -1.0
-        found = _repeated_word(A, B, i, eps * phi,
-                               math.sqrt(SQRT8 * abs(phi) * cb / ca),
-                               math.sqrt(SQRT8 * abs(phi) * ca / cb))
-        if found is None:
-            continue
-        word, n_rep = found
-        # the word's B-turn t and A-turn -s, its third and fourth factors
-        (_, t), (_, s) = word[2], word[3]
-        cost = n_rep * (ca * abs(s) + cb * t)
-        if cost < best_cost:
-            best_cost = cost
-            best = word * n_rep
-    return best
+    (price_a, word_a), (price_b, word_b) = _axis_words(a, i, phi)
+    return _repeated_word(*(word_b if price_b < price_a else word_a))
 
 
 def _repaired(m, path, p):

@@ -83,22 +83,26 @@ def euler_quat(x1, x2, x3):
 def chart_angles(q):
     """Chart angles (x1, x2, x3) with euler_quat(x1, x2, x3) == q.
 
-    q is a unit quaternion (w, X, Y, Z) along the last axis, vectorized.
-    The extraction fixes the rotation only up to the central sign and
-    returns x2 in [-pi/2, pi/2]; where the extracted angles give -q, x1
-    moves by 2 pi, which negates the quaternion.  Each angle is then its
-    own minimal representative.  The round trip is accurate to about
-    1e-16 / |cos x2|: at gimbal lock, x2 = +-pi/2, the arcsine loses the
-    split between x1 and x3.
+    q is a quaternion (w, X, Y, Z) along the last axis, vectorized.  With
+    h_i = x_i / 2, euler_quat gives
+        (w - Y, X + Z) = (cos h2 - sin h2) (cos, sin)(h1 + h3),
+        (w + Y, X - Z) = (cos h2 + sin h2) (cos, sin)(h1 - h3),
+    and both scales are >= 0 for x2 in [-pi/2, pi/2]: one arctan2 each
+    gives h1 +- h3, and the scales' ratio gives x2.  The round trip is
+    exact to rounding everywhere, gimbal lock x2 = +-pi/2 included, where
+    the smaller scale's angle no longer matters.  Moving x1 and x3 by
+    2 pi each keeps q; it puts x3 in (-pi, pi], and x1 is wrapped to its
+    minimal representative.
     """
     w, X, Y, Z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    x2 = np.arcsin(np.clip(2.0 * (w * Y - Z * X), -1.0, 1.0))
-    x1 = np.arctan2(2.0 * (w * X + Y * Z), 1.0 - 2.0 * (X * X + Y * Y))
-    x3 = np.arctan2(2.0 * (w * Z + X * Y), 1.0 - 2.0 * (Y * Y + Z * Z))
-    w_hat, x_hat, y_hat, z_hat = euler_quat(x1, x2, x3)
-    flip = w * w_hat + X * x_hat + Y * y_hat + Z * z_hat < 0.0
-    x1 = np.where(flip, wrap_circle(x1 + TWO_PI), x1)
-    return x1, x2, x3
+    plus = np.arctan2(X + Z, w - Y)
+    minus = np.arctan2(X - Z, w + Y)
+    x2 = 2.0 * np.arctan2(np.hypot(w + Y, X - Z),
+                          np.hypot(w - Y, X + Z)) - 0.5 * math.pi
+    x3 = plus - minus
+    turns = np.ceil(x3 / TWO_PI - 0.5)
+    x1 = wrap_circle((plus + minus) + TWO_PI * turns)
+    return x1, x2, x3 - TWO_PI * turns
 
 
 def psi(c: Coordinates) -> GroupElement:

@@ -19,8 +19,9 @@ from su2vol.balls import (
     _speed_floor, _theta_mass, ball_volume,
     distance_bracket, default_sweep_grid, sweep, word_upper_bound,
 )
-from su2vol.frames import (ControlPath, PathSegment, chart_angles, euler_quat,
-                           path_length, segment_product)
+from su2vol.frames import (ControlPath, PathSegment, chart_angles,
+                           commutator_identity, euler_quat, path_length,
+                           segment_product)
 from su2vol.metrics import MetricTensor, from_parameters, reduce_to_decoupled
 from su2vol.volumes import (
     EstimatorInputs, Side, containment_sets, hexagon_area,
@@ -44,20 +45,22 @@ def _endpoint(m, rows):
 
 
 def _word_cost_clipped(a, i, phi):
-    """_axis_word_cost written with np.clip and one np.where per pair."""
+    """_axis_word_cost written with np.clip and one np.where per pair: per
+    pair, the fewest repeats n_rep whose largest turn f(s_cap, t) reaches
+    |phi|, the A-turn s with f(s, t) = |phi| / n_rep, and the price
+    n_rep (2 a_A s + 3 a_B t)."""
     phi = np.abs(np.asarray(phi, dtype=float))
     j, k = (i + 1) % 3, (i + 2) % 3
     best = np.full(phi.shape, np.inf)
     for A, B in ((j, k), (k, j)):
         ca, cb = 2.0 * a[A], 3.0 * a[B]
+        s_cap = np.clip(np.sqrt(SQRT8 * phi * cb / ca), 0.0, math.pi)
+        t = np.clip(np.sqrt(SQRT8 * phi * ca / cb), 0.0, 0.5 * math.pi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.sqrt(SQRT8 * phi * cb / ca)
-            t = np.sqrt(SQRT8 * phi * ca / cb)
-        s = np.clip(s, 0.0, math.pi)
-        t = np.clip(t, 0.0, 0.5 * math.pi)
-        reach = s * t / SQRT8
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n_rep = np.ceil(phi / reach)
+            reach, _ = commutator_identity(s_cap, t)
+            n_rep = np.clip(np.ceil(phi / reach), 1.0, None)
+            ratio = np.sin(phi / n_rep / 4.0) / np.sin(0.5 * t)
+        s = 2.0 * np.arcsin(np.clip(ratio, 0.0, 1.0))
         cost = n_rep * (ca * s + cb * t)
         best = np.minimum(best, np.where(phi > 0.0, cost, 0.0))
     return best
@@ -412,10 +415,10 @@ _BUDGET2_PINS = [
         "0x1.b84a74a678152p-52"),
        ("-0x1.bef57cb33885bp-56", "0x1.1911b0acba54ap-55",
         "-0x1.03ce19bcf91bap-54"))],
-     ["0x1.209534d8c35a3p+5", "0x1.d37c5fba817f3p+6", "0x1.2c0aa4ec810b8p+1",
-      "0x1.5016ce0810f5fp+1", "0x1.4f072e2985a95p+1", "0x1.20942e1b06835p+5",
-      "0x1.b19beabd99a78p+6", "0x1.2c07608a49123p+1", "0x1.5012bdebdf6edp+1",
-      "0x1.4f035f920054dp+1"]),
+     ["0x1.209534d8c35a3p+5", "0x1.d37c5fba817f3p+6", "0x1.2c0aa4ec815a5p+1",
+      "0x1.5016ce0810ff5p+1", "0x1.4f072e29858c4p+1", "0x1.20942e1b06835p+5",
+      "0x1.b19beabd99a78p+6", "0x1.2c07608a4448dp+1", "0x1.5012bdebf2a21p+1",
+      "0x1.4f035f9222530p+1"]),
     ("0x1.153eeb06df9b5p+1", "0x1.1cd2539e1cd15p+1",
      [("0x1.0000000000000p+0",
        ("-0x1.26a852b3128afp-1", "0x1.fd5d4b3107602p-3",
@@ -427,10 +430,10 @@ _BUDGET2_PINS = [
         "0x1.40b137778bb54p-53"),
        ("-0x1.37d407d6c1b9bp-55", "-0x1.0e9f20341eae7p-55",
         "-0x1.ca688dc8de6ebp-56"))],
-     ["0x1.0302eced3bf73p+6", "0x1.17fec7d072c75p+7", "0x1.6b84922e5336ep+1",
-      "0x1.6883a41f52e81p+1", "0x1.799bc9cb72e50p+1", "0x1.0302e28778ac2p+6",
-      "0x1.0b49d308d265ep+7", "0x1.6b8461baff6a5p+1", "0x1.68836539540c5p+1",
-      "0x1.799b9a99ba8b7p+1"]),
+     ["0x1.0302eced3bf73p+6", "0x1.17fec7d072c75p+7", "0x1.6b84922e539efp+1",
+      "0x1.6883a41f518d0p+1", "0x1.799bc9cb72eaap+1", "0x1.0302e28778ac2p+6",
+      "0x1.0b49d308d265ep+7", "0x1.6b8461bb024e3p+1", "0x1.68836539512f5p+1",
+      "0x1.799b9a990ae78p+1"]),
     ("0x1.20c1085668913p+1", "0x1.4634fbd279359p+1",
      [("0x1.0000000000000p+0",
        ("0x1.12a983d3a9723p-1", "-0x1.ec964309d6a73p-1",
@@ -442,10 +445,10 @@ _BUDGET2_PINS = [
         "0x1.20efe74f0c732p-53"),
        ("-0x1.8bc29b6391c13p-54", "-0x1.fad4f7f0a87fep-55",
         "-0x1.9e4cce00facb3p-56"))],
-     ["0x1.63577393c685cp+4", "0x1.8f3ddf5436adap+6", "0x1.9d9843473cd75p+1",
-      "0x1.b4a6b92a88e20p+1", "0x1.abdc1ddaa4e85p+1", "0x1.63565c21213ddp+4",
-      "0x1.7f021cf2f6531p+6", "0x1.9d98066cd4509p+1", "0x1.b4a676ddbeba7p+1",
-      "0x1.abdbd0b9b64f9p+1"]),
+     ["0x1.63577393c685cp+4", "0x1.8f3ddf5436adap+6", "0x1.9d9843473e01dp+1",
+      "0x1.b4a6b92a91099p+1", "0x1.abdc1ddaa32f2p+1", "0x1.63565c21213ddp+4",
+      "0x1.7f021cf2f6531p+6", "0x1.9d98066cd2fcfp+1", "0x1.b4a676ddbd5c4p+1",
+      "0x1.abdbd0b9b599ap+1"]),
 ]
 
 
@@ -747,6 +750,30 @@ def test_built_witnesses_never_exceed_vectorised_upper():
         _, upper = _certified_bounds(a, d, x[None, :], y[None, :])
         assert distance_bracket(m, p, budget=0).upper <= \
             upper[0] * (1.0 + 1e-12)
+
+
+def test_word_price_brackets_the_built_word():
+    # the classifier prices the very word distance_bracket builds: its
+    # length L is at most the price C, and C <= 1.5 L since the B-shift
+    # |tau| <= t / 2; one ulp of phi does not move the price
+    rng = np.random.default_rng(73)
+    built = 0
+    for _ in range(3000):
+        a = 10.0 ** rng.uniform(-2.0, 2.0, 3)
+        i = int(rng.integers(3))
+        phi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(
+            -3.0, math.log10(TWO_PI))
+        factors = balls._word_factors_free(a, i, phi)
+        if factors is None:
+            continue
+        built += 1
+        length = sum(a[axis] * abs(amount) for axis, amount in factors)
+        cost = float(balls._axis_word_cost(a, i, phi))
+        assert length <= cost * (1.0 + 1e-12)
+        assert cost <= 1.5 * length * (1.0 + 1e-12)
+        nudged = float(balls._axis_word_cost(a, i, np.nextafter(phi, 7.0)))
+        assert abs(nudged - cost) <= 1e-12 * cost
+    assert built > 2900
 
 
 # (lower, upper, ambiguous_mass) as float.hex, mode and flags at seed 3,

@@ -76,15 +76,21 @@ def test_chart_angles_round_trip_keeps_sign():
     q /= np.linalg.norm(q, axis=1)[:, None]
     q[:5] = [[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1],
              [-0.5, 0.5, -0.5, 0.5]]
+    # rows at and next to gimbal lock, x2 = +-(pi/2 - eps)
+    eps = np.repeat([0.0, 1e-12, 1e-9, 1e-6], 100)
+    x2 = rng.choice([-1.0, 1.0], eps.size) * (0.5 * math.pi - eps)
+    q = np.vstack([q, np.stack(euler_quat(
+        rng.uniform(-TWO_PI, TWO_PI, eps.size), x2,
+        rng.uniform(-math.pi, math.pi, eps.size)), axis=1)])
     assert np.any(q[:, 0] < 0.0) and np.any(q[:, 0] > 0.0)
     x = np.stack(chart_angles(q), axis=1)
     assert np.all((x > -TWO_PI) & (x <= TWO_PI))
     assert np.all(np.abs(x[:, 1:]) <= math.pi)
     npt.assert_allclose(np.stack(euler_quat(*x.T), axis=1), q, rtol=0.0,
-                        atol=1e-12)
-    for row in q[:50]:
+                        atol=1e-14)
+    for row in np.vstack([q[:50], q[-50:]]):
         npt.assert_allclose(euler_quat(*chart_angles(row)), row, rtol=0.0,
-                            atol=1e-12)
+                            atol=1e-14)
 
 
 def test_frame_chart_standard_metric_is_psi():
