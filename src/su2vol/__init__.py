@@ -6,9 +6,8 @@ from .algebra import (AlgebraElement, GroupElement, IDENTITY, SU2_BASIS,
                       quat_to_su2, reference_distance, su2_to_quat)
 from .metrics import (DecoupledMetric, InvalidParameters, MetricTensor,
                       NotSPD, canonicalize, decoupled_to_json,
-                      extract_milnor_su2, from_parameters, lift_vectors,
-                      metric_from_flat, metric_to_json, reduce_to_decoupled,
-                      skewed_basis)
+                      extract_milnor_su2, from_parameters, metric_from_flat,
+                      metric_to_json, reduce_to_decoupled)
 from .frames import (CollisionClass, ControlPath, Coordinates, GimbalLock,
                      IntegrationError, PathSegment, adjoint_rotate,
                      commutator_identity, euler_quat, frame_chart, jacobian,
@@ -33,8 +32,8 @@ __all__ = [
     "quat_to_su2", "reference_distance", "su2_to_quat",
     "DecoupledMetric", "InvalidParameters", "MetricTensor", "NotSPD",
     "canonicalize", "decoupled_to_json", "extract_milnor_su2",
-    "from_parameters", "lift_vectors", "metric_from_flat", "metric_to_json",
-    "reduce_to_decoupled", "skewed_basis",
+    "from_parameters", "metric_from_flat", "metric_to_json",
+    "reduce_to_decoupled",
     "CollisionClass", "ControlPath", "Coordinates", "GimbalLock",
     "IntegrationError", "PathSegment", "adjoint_rotate",
     "commutator_identity", "euler_quat", "frame_chart", "jacobian",

@@ -135,6 +135,8 @@ def word_upper_bound(m: DecoupledMetric, axis: int, sigma: float,
     on the complementary axes, then two nested second-order words.  Every
     word is centrally balanced, so the path has zero net translation.
     """
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
     a = np.asarray(m.a, dtype=float)
     caps = np.minimum(r_hint / a, eta)
     i = int(axis)

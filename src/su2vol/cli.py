@@ -352,11 +352,10 @@ def _read_metric_file(path):
 def cmd_reduce(metric_path):
     try:
         gram = _read_metric_file(metric_path)
-        tensor = MetricTensor(gram)
-    except (ConfigError, NotSPD, ValueError) as exc:
+        dec = canonicalize(reduce_to_decoupled(MetricTensor(gram)))
+    except (ConfigError, NotSPD, InvalidParameters, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dec = canonicalize(reduce_to_decoupled(tensor))
     res = dec.invariant_residuals()
     doc = json.loads(decoupled_to_json(dec))
     doc["center_dim"] = int(gram.shape[0] - 3)

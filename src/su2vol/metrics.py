@@ -26,16 +26,22 @@ class InvalidParameters(Exception):
     pass
 
 
-def _check_spd(gram: np.ndarray) -> np.ndarray:
+def _check_spd(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one SPD test: (symmetrised gram, its Cholesky factor with the
+    center, every index past the su(2) block, ordered first)."""
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise NotSPD(f"not square: shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise NotSPD("non-finite entries")
     if np.max(np.abs(g - g.T)) > _SYM_TOL * max(1.0, np.max(np.abs(g))):
         raise NotSPD("not symmetric")
-    w = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if w[0] <= 0.0:
-        raise NotSPD(f"smallest eigenvalue {w[0]:.3e} <= 0")
-    return 0.5 * (g + g.T)
+    g = 0.5 * g + 0.5 * g.T
+    c = np.roll(np.arange(g.shape[0]), -3)
+    try:
+        return g, np.linalg.cholesky(g[np.ix_(c, c)])
+    except np.linalg.LinAlgError:
+        raise NotSPD("not positive definite") from None
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class MetricTensor:
     gram: np.ndarray
 
     def __post_init__(self):
-        g = _check_spd(self.gram)
+        g, _ = _check_spd(self.gram)
         if g.shape[0] < 3:
             raise NotSPD("need at least the su(2) block")
         object.__setattr__(self, "gram", g)
@@ -136,7 +142,7 @@ def extract_milnor_su2(g3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to g3 in these coordinates), orientation-fixed to det +1 so the cross
     product closes cyclically, and a = sqrt(eigenvalues) ascending.
     """
-    g3 = _check_spd(g3)
+    g3, _ = _check_spd(g3)
     if g3.shape != (3, 3):
         raise NotSPD("expected a 3x3 block")
     lam, vecs = np.linalg.eigh(g3)
@@ -144,58 +150,6 @@ def extract_milnor_su2(g3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vecs = vecs.copy()
         vecs[:, 2] = -vecs[:, 2]
     return vecs, np.sqrt(lam)
-
-
-def skewed_basis(g: MetricTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g-orthogonal basis v_i = u_i + h_i of the center's g-complement.
-
-    Returns (V, R, a): V has the v_i as (3+n)-coefficient columns, R the
-    Pauli coordinates of the quotient Milnor triple, a the ascending
-    lengths sqrt(<v_i, v_i>_g).
-    """
-    G = g.gram
-    n = g.center_dim
-    if n == 0:
-        R, a = extract_milnor_su2(G)
-        return R.copy(), R, a
-    Z = np.zeros((3 + n, n))
-    Z[3:, :] = np.eye(n)
-    Gzz = Z.T @ G @ Z
-    # g-orthogonal lift of the su(2) coordinate directions past the center
-    lift = np.zeros((3 + n, 3))
-    lift[:3, :] = np.eye(3)
-    lift[3:, :] = -np.linalg.solve(Gzz, (Z.T @ G)[:, :3])
-    # pulled-back metric on the quotient, in Pauli coordinates
-    g_quot = lift.T @ G @ lift
-    R, a = extract_milnor_su2(g_quot)
-    return lift @ R, R, a
-
-
-def lift_vectors(h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthonormal f_i in R^(n+3) projecting onto given h_i in R^n.
-
-    h has the h_i as columns (n x 3).  d is the square root of the largest
-    eigenvalue of their Gram matrix; the appended 3-blocks come from a
-    symmetric factorization of d^2 I - Gram, eigenvalues clamped at zero
-    against numerical drift.  pi(d f_i) = h_i where pi drops the last 3
-    coordinates.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[1] != 3:
-        raise ValueError("h must be n x 3")
-    n = h.shape[0]
-    gram = h.T @ h
-    lam, vecs = np.linalg.eigh(gram)
-    d2 = lam[-1]
-    f = np.zeros((n + 3, 3))
-    if d2 < 1e-14:
-        f[n:, :] = np.eye(3)
-        return f, 0.0
-    d = float(np.sqrt(d2))
-    w = vecs @ np.diag(np.sqrt(np.clip(d2 - lam, 0.0, None))) @ vecs.T
-    f[:n, :] = h / d
-    f[n:, :] = w / d
-    return f, d
 
 
 def from_parameters(a1: float, a2: float, a3: float, d: float,
@@ -222,21 +176,19 @@ def from_parameters(a1: float, a2: float, a3: float, d: float,
 def reduce_to_decoupled(g: MetricTensor) -> DecoupledMetric:
     """Reduce a metric on su(2) + R^n to its decoupled su(2) + R^3 factor.
 
-    Pipeline: skewed basis, center orthonormalization, Euclidean lift.
-    The discarded complement of span{f_i} in the lifted center is flat, so
-    only the decoupled factor is returned.
+    One Cholesky factor L of the Gram, center ordered first, holds the
+    whole reduction.  Its su(2) block L_s factors the quotient metric
+    (the Schur complement of the center), whose Milnor frame gives R and
+    a.  Its coupling block holds the central parts of the g-orthogonal
+    lifts v_i in an orthonormal center frame, so d is its largest
+    singular value.  The discarded complement of span{f_i} in the lifted
+    center is flat, so only the decoupled factor is returned.
     """
-    G = g.gram
+    _, L = _check_spd(g.gram)
     n = g.center_dim
-    V, R, a = skewed_basis(g)
-    if n == 0:
-        h = np.zeros((0, 3))
-    else:
-        Gzz = G[3:, 3:]
-        L = np.linalg.cholesky(Gzz)
-        # central parts of the v_i in a g-orthonormal center frame
-        h = L.T @ V[3:, :]
-    _, d = lift_vectors(h)
+    L_s = L[n:, n:]
+    R, a = extract_milnor_su2(L_s @ L_s.T)
+    d = float(np.linalg.norm(L[n:, :n], 2)) if n else 0.0
     return from_parameters(a[0], a[1], a[2], d, rotation=R)
 
 

@@ -25,7 +25,7 @@ from su2vol.frames import (ControlPath, PathSegment, chart_angles,
 from su2vol.metrics import MetricTensor, from_parameters, reduce_to_decoupled
 from su2vol.volumes import (
     EstimatorInputs, Side, containment_sets, hexagon_area,
-    hexagon_area_truncated, m_rho,
+    hexagon_area_truncated, m_rho, vbar_g,
 )
 from oracles import ball_volume_isotropic
 
@@ -150,6 +150,14 @@ def test_word_rejects_beyond_budget():
     rho = _rho(m, 200.0, eta=200.0)
     with pytest.raises(OutOfRange):
         word_upper_bound(m, 2, rho[2], 200.0, eta=200.0)
+
+
+def test_word_rejects_bad_axis():
+    # -1 would wrap to axis 2 and 3 would index past the caps
+    m = from_parameters(1.0, 2.0, 3.0, 0.5)
+    for axis in (-1, 3):
+        with pytest.raises(ValueError, match="axis"):
+            word_upper_bound(m, axis, 1e-4, 0.1)
 
 
 def test_word_length_scales_with_radius():
@@ -404,51 +412,51 @@ def test_distance_powell_programming_errors_propagate(monkeypatch):
 # these inputs Powell does not beat the budget-0 witness, so the Powell
 # values are what catches a drifting trajectory.
 _BUDGET2_PINS = [
-    ("0x1.a12463559572dp+0", "0x1.e041bc233b150p+0",
+    ("0x1.a12463559572cp+0", "0x1.e041bc233b154p+0",
      [("0x1.0000000000000p+0",
-       ("0x1.8cb4fe2973f7fp-5", "-0x1.cb43573b7b85fp-1",
-        "0x1.b8015feea128ep-1"),
-       ("0x1.0ccebf9b7a2f6p-1", "-0x1.cb5c4dcce35ccp-1",
-        "-0x1.5a4e4ae95fea2p-1")),
+       ("0x1.8cb4fe2973af5p-5", "-0x1.cb43573b7b85fp-1",
+        "0x1.b8015feea1292p-1"),
+       ("0x1.0ccebf9b7a30bp-1", "-0x1.cb5c4dcce35ccp-1",
+        "-0x1.5a4e4ae95fea3p-1")),
       ("0x1.0000000000000p+0",
-       ("0x1.7d8619322f951p-54", "-0x1.dfd73c45f587fp-54",
-        "0x1.b84a74a678152p-52"),
-       ("-0x1.bef57cb33885bp-56", "0x1.1911b0acba54ap-55",
-        "-0x1.03ce19bcf91bap-54"))],
-     ["0x1.209534d8c35a3p+5", "0x1.d37c5fba817f3p+6", "0x1.2c0aa4ec815a5p+1",
-      "0x1.5016ce0810ff5p+1", "0x1.4f072e29858c4p+1", "0x1.20942e1b06835p+5",
-      "0x1.b19beabd99a78p+6", "0x1.2c07608a4448dp+1", "0x1.5012bdebf2a21p+1",
-      "0x1.4f035f9222530p+1"]),
-    ("0x1.153eeb06df9b5p+1", "0x1.1cd2539e1cd15p+1",
+       ("-0x1.105213263f31fp-51", "-0x1.d6134f5a1d8e9p-52",
+        "-0x1.e0bc550e4c121p-55"),
+       ("0x1.3f06ba8cc6debp-53", "0x1.135958aebe78ap-53",
+        "0x1.1997e27d482d5p-56"))],
+     ["0x1.209534d8c1a8fp+5", "0x1.d37c5fb7b92cfp+6", "0x1.2c0aa4ec814ccp+1",
+      "0x1.5016ce080b986p+1", "0x1.4f072e29862a3p+1", "0x1.20942e1b057e9p+5",
+      "0x1.b19beabcdb6b5p+6", "0x1.2c07608a3923dp+1", "0x1.5012bdeb5ed4bp+1",
+      "0x1.4f035f9220e3dp+1"]),
+    ("0x1.153eeb06df9b5p+1", "0x1.1cd2539e1cd17p+1",
      [("0x1.0000000000000p+0",
-       ("-0x1.26a852b3128afp-1", "0x1.fd5d4b3107602p-3",
-        "0x1.601c7962c5af4p-3"),
-       ("-0x1.6d1c6a2dac97bp+0", "-0x1.55268a6f5db7fp+0",
+       ("-0x1.26a852b312890p-1", "0x1.fd5d4b3107729p-3",
+        "0x1.601c7962c5af0p-3"),
+       ("-0x1.6d1c6a2dac97ep+0", "-0x1.55268a6f5db86p+0",
         "0x1.ac81dbf0a6704p-1")),
       ("0x1.0000000000000p+0",
-       ("0x1.b44bcd6843d05p-53", "0x1.7aa43f607fb91p-53",
-        "0x1.40b137778bb54p-53"),
-       ("-0x1.37d407d6c1b9bp-55", "-0x1.0e9f20341eae7p-55",
-        "-0x1.ca688dc8de6ebp-56"))],
-     ["0x1.0302eced3bf73p+6", "0x1.17fec7d072c75p+7", "0x1.6b84922e539efp+1",
-      "0x1.6883a41f518d0p+1", "0x1.799bc9cb72eaap+1", "0x1.0302e28778ac2p+6",
-      "0x1.0b49d308d265ep+7", "0x1.6b8461bb024e3p+1", "0x1.68836539512f5p+1",
-      "0x1.799b9a990ae78p+1"]),
-    ("0x1.20c1085668913p+1", "0x1.4634fbd279359p+1",
+       ("0x1.74a2e839be009p-53", "-0x1.bc3decadcd300p-59",
+        "0x1.698230d994a7dp-55"),
+       ("-0x1.0a545cc8fc916p-55", "0x1.3d81da317cc9ep-61",
+        "-0x1.026056217748ep-57"))],
+     ["0x1.0302eced3bf8ep+6", "0x1.17fec7d0720edp+7", "0x1.6b84922e53815p+1",
+      "0x1.6883a41f51ac3p+1", "0x1.799bc9cb72c3bp+1", "0x1.0302e2877e22ap+6",
+      "0x1.0b483acdeeb26p+7", "0x1.6b8461bb051b9p+1", "0x1.6883653954a12p+1",
+      "0x1.799b9a99b686ep+1"]),
+    ("0x1.20c1085668913p+1", "0x1.4634fbd27935ap+1",
      [("0x1.0000000000000p+0",
-       ("0x1.12a983d3a9723p-1", "-0x1.ec964309d6a73p-1",
-        "0x1.e4d31d5a929f0p+0"),
-       ("-0x1.74ffdb463f564p-3", "0x1.b474ff0f81968p-1",
-        "0x1.0be6d75c38998p-5")),
+       ("0x1.12a983d3a972ap-1", "-0x1.ec964309d6ab5p-1",
+        "0x1.e4d31d5a929dfp+0"),
+       ("-0x1.74ffdb463f568p-3", "0x1.b474ff0f81974p-1",
+        "0x1.0be6d75c38a00p-5")),
       ("0x1.0000000000000p+0",
-       ("0x1.40a43a35cb359p-51", "0x1.61784638d483bp-52",
-        "0x1.20efe74f0c732p-53"),
-       ("-0x1.8bc29b6391c13p-54", "-0x1.fad4f7f0a87fep-55",
-        "-0x1.9e4cce00facb3p-56"))],
-     ["0x1.63577393c685cp+4", "0x1.8f3ddf5436adap+6", "0x1.9d9843473e01dp+1",
-      "0x1.b4a6b92a91099p+1", "0x1.abdc1ddaa32f2p+1", "0x1.63565c21213ddp+4",
-      "0x1.7f021cf2f6531p+6", "0x1.9d98066cd2fcfp+1", "0x1.b4a676ddbd5c4p+1",
-      "0x1.abdbd0b9b599ap+1"]),
+       ("0x1.45adc44660ff2p-53", "0x1.2b98ed24f9bf6p-55",
+        "0x1.d525c5cf9ec9ep-53"),
+       ("-0x1.a5f74b04381f6p-57", "-0x1.ad95e2963138cp-58",
+        "-0x1.505986f510ef0p-55"))],
+     ["0x1.63577393c8103p+4", "0x1.8f3ddf543604bp+6", "0x1.9d9843473d843p+1",
+      "0x1.b4a6b92a813f4p+1", "0x1.abdc1dda9e57ap+1", "0x1.63565c212c21bp+4",
+      "0x1.7f021cf2f6737p+6", "0x1.9d98066ce2f21p+1", "0x1.b4a676ddb40b7p+1",
+      "0x1.abdbd0b9b085ep+1"]),
 ]
 
 
@@ -568,6 +576,22 @@ def test_ball_scaling_covariance_flat_factor():
     v2 = ball_volume(m2, k * r, 150000, seed=22)
     assert v2.lower / k ** 3 <= v1.upper * 1.02
     assert v1.lower <= v2.upper / k ** 3 * 1.02
+    # tilted cells: (a, d, r) -> (lam a, lam d, lam r) is the same scaling
+    for a, d, r, mode in (((0.1, 1.0, 10.0), 1.0, 0.05, "hexagon"),
+                          ((1.0, 2.0, 3.0), 100.0, 0.1, "hexagon"),
+                          ((0.1, 1.0, 10.0), 1.0, 0.5, "fallback")):
+        base = ball_volume(from_parameters(*a, d), r, 20000, seed=23)
+        want = vbar_g(EstimatorInputs(r, a, d))
+        for lam in (0.125, 10.0):
+            scaled = [lam * x for x in a]
+            vb = ball_volume(from_parameters(*scaled, lam * d), lam * r,
+                             20000, seed=24)
+            assert base.mode == vb.mode == mode
+            lam3 = lam ** 3
+            assert max(base.lower, vb.lower / lam3) <= min(base.upper,
+                                                          vb.upper / lam3)
+            got = vbar_g(EstimatorInputs(lam * r, scaled, lam * d)) / lam3
+            assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_ball_positive_certified_lower_everywhere():

@@ -108,6 +108,17 @@ def test_reduce_rejects_non_spd(tmp_path, capsys):
                   "1.0,2.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0")
     rc = main(["reduce", path])
     assert rc == 2
+    capsys.readouterr()
+    # JSON NaN and Infinity parse to floats; reduce names them in one line
+    for bad in (float("nan"), float("inf")):
+        gram = np.eye(4)
+        gram[0, 3] = gram[3, 0] = bad
+        path = _write(tmp_path / "bad.json", json.dumps(gram.tolist()))
+        rc = main(["reduce", path])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "non-finite" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_estimate_writes_table(tmp_path):

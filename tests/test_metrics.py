@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -7,8 +8,8 @@ import pytest
 
 from su2vol.metrics import (
     DecoupledMetric, InvalidParameters, MetricTensor, NotSPD, canonicalize,
-    decoupled_to_json, extract_milnor_su2, from_parameters, lift_vectors,
-    metric_from_flat, metric_to_json, reduce_to_decoupled, skewed_basis,
+    decoupled_to_json, extract_milnor_su2, from_parameters, metric_from_flat,
+    metric_to_json, reduce_to_decoupled,
 )
 
 PARAM_TOL = 1e-8
@@ -43,6 +44,27 @@ def test_round_trip_parameters():
     dec = canonicalize(reduce_to_decoupled(MetricTensor(m.gram)))
     npt.assert_allclose(dec.a, [1.0, 2.0, 3.0], atol=PARAM_TOL)
     assert dec.d == pytest.approx(5.0, abs=PARAM_TOL)
+    # (a, d) -> (lam a, lam d) in a rotated frame reduces back to itself
+    # at every scale, with tilts far below the su(2) lengths kept
+    rng = np.random.default_rng(16)
+    for a in ((1.0, 2.0, 3.0), (0.01, 1.0, 100.0)):
+        for lam in (1e-12, 1e-9, 1e-8, 1e-3, 1.0, 1e3, 1e8):
+            for d in (0.0, 1e-9, 0.5, 1.0):
+                q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+                q *= np.linalg.det(q)
+                want = lam * np.array(a)
+                m = from_parameters(*want, lam * d, rotation=q)
+                dec = canonicalize(reduce_to_decoupled(MetricTensor(m.gram)))
+                # rounding the rotated Gram's entries moves a_i^2 by up to
+                # ~eps lam^2 (a3^2 + d^2): ~1e-8 relative in a1 at
+                # a = (0.01, 1, 100), for any reduction
+                tol = np.maximum(1e-9, 4.0 * np.finfo(float).eps
+                                 * (a[2] ** 2 + d * d) / np.square(a))
+                assert np.all(np.abs(dec.a - want) <= tol * want), (a, lam, d)
+                if d == 0.0:
+                    assert dec.d == 0.0
+                else:
+                    assert dec.d == pytest.approx(lam * d, rel=1e-12, abs=0.0)
 
 
 def test_diagonal_gram_n0():
@@ -87,43 +109,32 @@ def test_reduce_random_spd_invariants():
             assert back.d == pytest.approx(dec.d, abs=PARAM_TOL)
 
 
-def test_skewed_basis_orthogonality():
-    rng = np.random.default_rng(12)
-    for n in (1, 3):
-        g = MetricTensor(_random_spd(3 + n, rng))
-        V, R, a = skewed_basis(g)
-        gram_v = V.T @ g.gram @ V
-        npt.assert_allclose(gram_v, np.diag(a ** 2), atol=1e-10)
-        # v_i project onto the quotient Milnor triple
-        npt.assert_allclose(V[:3], R, atol=1e-12)
-        # the triple closes under the cross product
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            npt.assert_allclose(np.cross(R[:, i], R[:, j]), R[:, k],
-                                atol=1e-10)
-
-
-def test_lift_vectors_top_eigenvalue():
-    h = np.array([[2.0, 0.0, 0.0],
-                  [0.0, 1.0, 0.0]])          # h_i as columns, n = 2
-    f, d = lift_vectors(h)
-    assert d == pytest.approx(2.0, rel=1e-12)
-    npt.assert_allclose(f.T @ f, np.eye(3), atol=1e-12)
-    # projection onto the first n coordinates recovers the h_i
-    npt.assert_allclose(d * f[:2, :], h, atol=1e-12)
-
-
-def test_lift_vectors_zero_input():
-    f, d = lift_vectors(np.zeros((2, 3)))
-    assert d == 0.0
-    npt.assert_allclose(f.T @ f, np.eye(3), atol=1e-15)
-
-
 def test_not_spd_raises():
     with pytest.raises(NotSPD):
         MetricTensor(np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(NotSPD):
         MetricTensor(np.array([[1.0, 2.0], [2.0, 1.0]]))   # too small too
+    # non-finite entries are NotSPD, never LinAlgError or a valid metric
+    for bad in (math.nan, math.inf, -math.inf):
+        g = np.eye(4)
+        g[1, 2] = g[2, 1] = bad
+        with pytest.raises(NotSPD, match="non-finite"):
+            MetricTensor(g)
+    # symmetrising must not overflow at the top of the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = MetricTensor(np.diag([1e308, 1e308, 1.0]))
+    npt.assert_array_equal(g.gram, np.diag([1e308, 1e308, 1.0]))
+
+
+def test_package_exports_resolve():
+    # every public name resolves, so a deleted function leaves no export
+    import su2vol
+    for name in su2vol.__all__:
+        assert hasattr(su2vol, name), name
+    namespace = {}
+    exec("from su2vol import *", namespace)
+    assert set(su2vol.__all__) <= set(namespace)
 
 
 def test_invalid_parameters():
