@@ -16,6 +16,7 @@ only ever widen it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -23,11 +24,11 @@ import numpy as np
 from scipy import optimize, special
 
 from .algebra import (AlgebraElement, GroupElement, angle_axis, exp_group,
-                      g0_distance_between, mul)
+                      factor_product, g0_distance_between, mul)
 from .frames import (ControlPath, PathSegment, chart_angles,
-                     commutator_identity, euler_quat, factor_product,
-                     factor_table, path_length, segment_factor,
-                     segment_product, word_factors, word_rows)
+                     commutator_identity, euler_quat, factor_table,
+                     path_length, segment_factor, segment_product,
+                     word_factors, word_rows)
 from .metrics import DecoupledMetric, canonicalize, from_parameters
 from .volumes import (C_OUTER, EstimatorInputs, OutOfRegime, Side,
                       containment_sets, hexagon_area, hexagon_area_truncated,
@@ -294,7 +295,9 @@ def _log_branches(m, p):
     for ang in (theta, theta - FOUR_PI):
         alpha = ang * axis_hat
         branches.append((alpha, y_f - m.d * alpha))
-    return theta, float(np.linalg.norm(y_f)), branches
+    with np.errstate(over="ignore"):
+        y_norm = float(np.linalg.norm(y_f))
+    return theta, y_norm, branches
 
 
 def _controls_path(rows):
@@ -416,13 +419,18 @@ def distance_bracket(m: DecoupledMetric, p: GroupElement,
     rotations with optional word substitutions, then budget rounds of
     Powell refinement over 8-segment controls).  Each refined path gets a
     closing log-correction segment, so every witness reaches p exactly.
+    Raises ValueError, before any other work, where both straight-log
+    lengths overflow (central norms beyond about 1e154).
     """
     theta, y_norm, branches = _log_branches(m, p)
     if theta == 0.0 and y_norm == 0.0:
         return DistanceBracket(0.0, 0.0, ControlPath([]))
-    lower = float(_speed_floor(float(np.min(m.a)), abs(m.d), theta, y_norm))
     candidates = [_controls_path([(1.0, alpha, beta)])
                   for alpha, beta in branches]
+    if not any(math.isfinite(path_length(m, c)) for c in candidates):
+        raise ValueError(f"no candidate path to p has a finite length: both "
+                         f"straight logs overflow (central norm {y_norm:.3g})")
+    lower = float(_speed_floor(float(np.min(m.a)), abs(m.d), theta, y_norm))
     candidates += _coordinate_candidates(m, p)
     best_path = None
     best_cost = np.inf
@@ -574,7 +582,9 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     Raises ValueError for r <= 0, for n < 1, and for a bracket that floats
     cannot hold, before the first draw when cert_mass + M(S) is already
     inf (at tilts d beyond about 1e104 the fallback box volume overflows,
-    at r beyond about 1e103 the core box does).
+    at r beyond about 1e103 the core box does) or below the smallest
+    normal float (at a = (1, 1, 1) and d = 0 from r = 1e-52 down), where
+    the bracket would be subnormal or [0, 0].
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -605,6 +615,10 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
         raise ValueError(f"ball volume bracket is not finite at this metric "
                          f"and radius: core box mass {cert_mass}, superset "
                          f"mass {mass}")
+    if cert_mass + mass < sys.float_info.min:
+        raise ValueError(f"ball volume bracket underflows at this metric and "
+                         f"radius: core box mass {cert_mass}, superset mass "
+                         f"{mass}")
 
     # draw(take) consumes the generator for one chunk; points(raw, s)
     # turns the slice s of it into (xs, ys, accepted)

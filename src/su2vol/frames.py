@@ -25,8 +25,10 @@ from .algebra import (
     GroupElement,
     bracket,
     exp_group,
+    factor_product,
     g0_distance_between,
     mul,
+    rodrigues_factor,
 )
 from .metrics import DecoupledMetric, from_parameters
 
@@ -68,7 +70,8 @@ class Coordinates:
 def euler_quat(x1, x2, x3):
     """Quaternion (w, X, Y, Z) of exp(x3*u3) exp(x2*u2) exp(x1*u1).
 
-    Vectorized over broadcastable inputs; half-angle products throughout.
+    Vectorized over broadcastable inputs, which the scalar factor_product
+    is not, for the ball classifier's sample blocks; half-angle products.
     """
     c1, s1 = np.cos(0.5 * np.asarray(x1)), np.sin(0.5 * np.asarray(x1))
     c2, s2 = np.cos(0.5 * np.asarray(x2)), np.sin(0.5 * np.asarray(x2))
@@ -346,41 +349,15 @@ def factor_table(m: DecoupledMetric):
 
 
 def segment_factor(d, UF, duration, alpha, beta):
-    """Quaternion factor (w, x, y, z) and translation increment
-    (t1, t2, t3) of exp(duration * (sum alpha_i u_i
-    + sum (d alpha_i + beta_i) f_i)), as one 7-tuple of floats; (d, UF)
-    is factor_table(m).  The Rodrigues exponential of exp_group on
-    Python floats; a rotation norm that overflows raises ValueError from
-    math.sin(inf)."""
+    """rodrigues_factor of the coefficients of duration * (sum alpha_i u_i
+    + sum (d alpha_i + beta_i) f_i); (d, UF) is factor_table(m)."""
     a1, a2, a3 = alpha
     b1, b2, b3 = beta
     g1, g2, g3 = d * a1 + b1, d * a2 + b2, d * a3 + b3
-    c1, c2, c3, c4, c5, c6 = [
+    return rodrigues_factor(*[
         duration * ((u1 * a1 + u2 * a2 + u3 * a3)
                     + (f1 * g1 + f2 * g2 + f3 * g3))
-        for u1, u2, u3, f1, f2, f3 in UF]
-    rho = 0.5 * math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-    k = 0.5 * math.sin(rho) / rho if rho > 0.0 else 0.5
-    return math.cos(rho), k * c1, k * c2, k * c3, c4, c5, c6
-
-
-def factor_product(factors) -> GroupElement:
-    """Group element of segment_factor factors multiplied left to right:
-    mul's Hamilton product on Python floats, translations summed in
-    order.  A non-finite result raises ValueError, as AlgebraElement
-    does for non-finite coefficients."""
-    w, x, y, z = 1.0, 0.0, 0.0, 0.0
-    t1 = t2 = t3 = 0.0
-    for w2, x2, y2, z2, c4, c5, c6 in factors:
-        w, x, y, z = (w * w2 - x * x2 - y * y2 - z * z2,
-                      w * x2 + x * w2 + y * z2 - z * y2,
-                      w * y2 - x * z2 + y * w2 + z * x2,
-                      w * z2 + x * y2 - y * x2 + z * w2)
-        t1, t2, t3 = t1 + c4, t2 + c5, t3 + c6
-    if not math.isfinite(w + x + y + z + t1 + t2 + t3):
-        raise ValueError("non-finite coefficients")
-    return GroupElement.from_quat(np.array([w, x, y, z]),
-                                  np.array([t1, t2, t3]))
+        for u1, u2, u3, f1, f2, f3 in UF])
 
 
 def segment_product(m: DecoupledMetric, rows) -> GroupElement:
@@ -388,10 +365,9 @@ def segment_product(m: DecoupledMetric, rows) -> GroupElement:
 
     rows are (duration, alpha, beta) triples, PathSegments included; each
     contributes the factor exp(duration * (sum alpha_i u_i
-    + sum (d alpha_i + beta_i) f_i)).  It is factor_product of the rows'
-    segment_factor factors: the same Rodrigues exponential and Hamilton
-    product as exp_group and mul, without building an element per
-    factor.  Non-finite coefficients raise ValueError.
+    + sum (d alpha_i + beta_i) f_i)): factor_product of their
+    segment_factor factors, the kernel of exp_group and mul.  Non-finite
+    coefficients raise ValueError.
     """
     d, UF = factor_table(m)
     return factor_product(segment_factor(d, UF, duration, alpha, beta)

@@ -34,7 +34,7 @@ def _check_spd(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotSPD(f"not square: shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise NotSPD("non-finite entries")
-    if np.max(np.abs(g - g.T)) > _SYM_TOL * max(1.0, np.max(np.abs(g))):
+    if np.max(np.abs(g - g.T)) > _SYM_TOL * np.max(np.abs(g)):
         raise NotSPD("not symmetric")
     g = 0.5 * g + 0.5 * g.T
     c = np.roll(np.arange(g.shape[0]), -3)

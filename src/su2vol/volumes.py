@@ -284,6 +284,9 @@ class EstimatorInputs:
 
     def __post_init__(self):
         a = tuple(float(v) for v in self.a)
+        if not all(map(math.isfinite, (self.r, self.d, self.eta) + a)):
+            raise ValueError(f"estimator inputs must be finite, got r="
+                             f"{self.r}, a={a}, d={self.d}, eta={self.eta}")
         if len(a) != 3 or not (0.0 < a[0] <= a[1] <= a[2]):
             raise ValueError(f"need ascending positive a, got {a}")
         if not self.r > 0.0:

@@ -10,6 +10,8 @@ from su2vol.algebra import (
     g0_norm, log_su2, mul, quat_to_su2, reference_distance, renormalize,
     su2_to_quat,
 )
+from su2vol.frames import segment_product
+from su2vol.metrics import from_parameters
 from oracles import series_expm
 
 
@@ -220,3 +222,31 @@ def test_g0_distance_between_matches_reference_chain():
         assert g0_distance_between(g, IDENTITY) == pytest.approx(
             eps, rel=1e-15)
     assert g0_distance_between(IDENTITY, IDENTITY) == 0.0
+
+
+def test_exp_group_and_mul_are_the_segment_product_kernel():
+    # exp_group and mul share segment_product's Rodrigues factor and
+    # Hamilton product, so they agree with it bit for bit, not to rounding
+    rng = np.random.default_rng(3)
+    ref = from_parameters(1.0, 1.0, 1.0, 0.0)
+    cs = rng.normal(size=(1000, 6)) * rng.uniform(0.0, 10.0, size=(1000, 1))
+    for c, c_next in zip(cs, np.roll(cs, 1, axis=0)):
+        g = exp_group(AlgebraElement(c))
+        want = segment_product(ref, [(1.0, c[:3], c[3:])])
+        npt.assert_array_equal(g.q, want.q)
+        npt.assert_array_equal(g.vec, want.vec)
+        two = mul(g, exp_group(AlgebraElement(c_next)))
+        want = segment_product(ref, [(1.0, c[:3], c[3:]),
+                                     (1.0, c_next[:3], c_next[3:])])
+        npt.assert_array_equal(two.q, want.q)
+        npt.assert_array_equal(two.vec, want.vec)
+
+
+def test_exp_group_keeps_large_finite_translations():
+    # finiteness is checked per component, so translations near the top of
+    # the float range pass; only a component that overflows raises
+    g = exp_group(AlgebraElement(np.array([0.0, 0.0, 0.0,
+                                           1e308, 1e308, -1e308])))
+    npt.assert_array_equal(g.vec, [1e308, 1e308, -1e308])
+    with pytest.raises(ValueError, match="non-finite"):
+        mul(g, g)

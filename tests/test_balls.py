@@ -866,6 +866,23 @@ def test_distance_tiny_stretch_brackets_without_huge_words():
                                                            rel=1e-9)
 
 
+def test_distance_bracket_rejects_overflowing_translation():
+    # a pure translation of 1e155 gives every candidate path length inf;
+    # the call names that as a ValueError, without numpy warnings on the way
+    m = from_parameters(0.5, 1.0, 2.0, 1.0)
+
+    def shift(s):
+        return GroupElement.from_quat(np.array([1.0, 0.0, 0.0, 0.0]),
+                                      np.array([s, 0.0, 0.0]))
+
+    db = distance_bracket(m, shift(1.3e154), budget=0)
+    assert 0.0 < db.lower <= db.upper < math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite length"):
+            distance_bracket(m, shift(1e155))
+
+
 def test_ball_rejects_too_few_samples():
     m = from_parameters(1.0, 1.0, 1.0, 0.0)
     for n in (0, -5):
@@ -873,9 +890,10 @@ def test_ball_rejects_too_few_samples():
             ball_volume(m, 0.1, n)
 
 
-def _rejects_before_drawing(monkeypatch, m, r):
-    # the mass is inf before any draw: the call raises at once, without
-    # drawing or classifying a sample or emitting an overflow warning
+def _rejects_before_drawing(monkeypatch, m, r, match=None):
+    # the mass is inf, or below the smallest normal float, before any
+    # draw: the call raises at once, without drawing or classifying a
+    # sample or emitting an overflow warning
     def drawn(*args, **kwargs):
         raise AssertionError("ball_volume drew before rejecting")
 
@@ -884,7 +902,7 @@ def _rejects_before_drawing(monkeypatch, m, r):
         monkeypatch.setattr(balls, name, drawn)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             ball_volume(m, r, 200000, seed=1)
 
 
@@ -900,6 +918,17 @@ def test_ball_rejects_radius_whose_box_overflows(monkeypatch):
     # is not finite, which is a ValueError and not an OverflowError
     _rejects_before_drawing(monkeypatch,
                             from_parameters(1.0, 1.0, 1.0, 0.0), 1e200)
+
+
+def test_ball_rejects_radius_whose_bracket_underflows(monkeypatch):
+    # the masses scale like r^6: from r = 1e-55 they are 0, so the bracket
+    # would read [0, 0], and at r = 1e-200 the degenerate hexagons could
+    # not be sampled; r = 1e-50 still gives a normal bracket
+    m = from_parameters(1.0, 1.0, 1.0, 0.0)
+    vb = ball_volume(m, 1e-50, 200, seed=1)
+    assert 0.0 < vb.lower <= vb.upper
+    for r in (1e-55, 1e-200):
+        _rejects_before_drawing(monkeypatch, m, r, "underflows")
 
 
 def test_ball_contains_isotropic_volume_in_fallback_mode():

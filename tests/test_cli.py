@@ -168,10 +168,12 @@ def test_ball_volume_single_cell(tmp_path):
 
 
 def test_ball_volume_rejected_values_exit_2(tmp_path, capsys):
-    # a1 = 1e-300 is rejected by the metric, r = 1e200 by ball_volume
+    # a1 = 1e-300 is rejected by the metric, r = 1e200 and r = 1e-60 by
+    # ball_volume
     for text, cause in (("a1=1e-300\nr=0.1\nsamples=100\n",
                          "a_i^2 underflows"),
-                        ("r=1e200\nsamples=100\n", "not finite")):
+                        ("r=1e200\nsamples=100\n", "not finite"),
+                        ("r=1e-60\nsamples=100\n", "bracket underflows")):
         cfg = _write(tmp_path / "b.cfg", text)
         with np.errstate(all="ignore"):
             rc = main(["ball-volume", "--config", cfg, "--out",

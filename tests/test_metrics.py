@@ -125,6 +125,12 @@ def test_not_spd_raises():
         warnings.simplefilter("error")
         g = MetricTensor(np.diag([1e308, 1e308, 1.0]))
     npt.assert_array_equal(g.gram, np.diag([1e308, 1e308, 1.0]))
+    # the symmetry test is relative: a skew part far above a tiny Gram's
+    # scale is not averaged away, which would break (a, d) -> (la, ld)
+    g = 1e-24 * np.eye(6)
+    g[0, 1], g[1, 0] = 1e-13, -1e-13
+    with pytest.raises(NotSPD, match="not symmetric"):
+        MetricTensor(g)
 
 
 def test_package_exports_resolve():

@@ -282,6 +282,15 @@ def test_estimator_inputs_validation():
         EstimatorInputs(-0.1, (1.0, 2.0, 3.0), 0.0)
     with pytest.raises(ValueError):
         EstimatorInputs(0.1, (1.0, 2.0, 3.0), -1.0)
+    # non-finite r, a_i, d or eta: vbar_g would return nan
+    for r, a, d, eta in ((math.inf, (1.0, 1.0, 1.0), 0.0, 0.1),
+                         (0.1, (1.0, 1.0, math.inf), 0.0, 0.1),
+                         (0.1, (math.nan, 1.0, 1.0), 0.0, 0.1),
+                         (0.1, (1.0, 1.0, 1.0), math.nan, 0.1),
+                         (0.1, (1.0, 1.0, 1.0), math.inf, 0.1),
+                         (0.1, (1.0, 1.0, 1.0), 0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            EstimatorInputs(r, a, d, eta)
 
 
 def test_m_rho_hand_values():
