@@ -142,14 +142,6 @@ class GroupElement:
 IDENTITY = GroupElement.from_quat(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
-def renormalize(g: GroupElement) -> GroupElement:
-    """Nearest SU(2) element via quaternion normalization."""
-    n = np.linalg.norm(g.q)
-    if n < 0.5:
-        raise ValueError("matrix too far from SU(2) to renormalize")
-    return GroupElement.from_quat(g.q / n, g.vec)
-
-
 def rodrigues_factor(c1, c2, c3, c4, c5, c6):
     """exp of the coefficients c as one 7-tuple of Python floats: the
     quaternion cos(rho) + (sin(rho)/rho) x/2, rho = |x|/2 (Rodrigues), then
@@ -228,23 +220,21 @@ def log_su2(g: GroupElement, with_flag: bool = False):
     return out
 
 
-_E3 = np.array([0.0, 0.0, 1.0])
-
-
 def angle_axis(q):
-    """(theta, unit axis) of quaternions q = (w, x, y, z), vectorized over
-    leading axes: q = |q| (cos(theta/2), sin(theta/2) axis), theta in
-    [0, 2 pi] the g0-norm of the rotation.  The axis is e3 where the
+    """(theta, unit axis) of quaternions q = (w, x, y, z), the components
+    along the first axis and vectorized over the rest, so four equal-shape
+    columns are taken as they are: q = |q| (cos(theta/2), sin(theta/2)
+    axis), theta in [0, 2 pi] the g0-norm of the rotation, and the axis
+    has the components along its first axis too.  The axis is e3 where the
     vector part vanishes."""
-    q = np.asarray(q, dtype=float)
-    v = q[..., 1:]
-    s = np.linalg.norm(v, axis=-1)
+    w, x, y, z = q
+    s = np.sqrt((x * x + y * y) + z * z)
     # atan2 keeps full precision near both poles, unlike arccos(w)
-    theta = 2.0 * np.arctan2(s, q[..., 0])
+    theta = 2.0 * np.arctan2(s, w)
     moves = s > 1e-30
-    axis = np.where(moves[..., None],
-                    v / np.where(moves, s, 1.0)[..., None], _E3)
-    return theta, axis
+    scale = np.where(moves, s, 1.0)
+    return theta, np.stack([np.where(moves, c / scale, e)
+                            for c, e in ((x, 0.0), (y, 0.0), (z, 1.0))])
 
 
 def g0_inner(a: AlgebraElement, b: AlgebraElement) -> float:

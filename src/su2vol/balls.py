@@ -9,9 +9,12 @@ draw loop serves both sampling modes: it draws from a set S of known
 reference mass that contains the ball (the speed floor bounds the
 rotation angle by r / a_min and each central coordinate by d r / a_i + r),
 and counts certain and possible hits outside a core box certified inside
-the ball.  The counts are exactly binomial, so one Clopper-Pearson bound
-turns them into a 99% bracket for any sample count; ambiguous samples
-only ever widen it.
+the ball.  Each draw is settled by the cheapest bound that decides it:
+the speed floor at angle 0 from the central coordinates alone, then the
+floor at the draw's angle, then the upper bounds; possible means floor
+<= r, certain means possible and upper <= r.  The counts are exactly
+binomial, so one Clopper-Pearson bound turns them into a 99% bracket for
+any sample count; ambiguous samples only ever widen it.
 """
 from __future__ import annotations
 
@@ -196,7 +199,8 @@ def _speed_floor(a_min, d, theta, y_norm):
     sqrt(a_min^2 |alpha|^2 + |beta|^2); a path needs total rotation
     Phi >= theta and pure-central control B >= |y| - d Phi, so it costs at
     least min over Phi >= theta of hypot(a_min Phi, max(0, |y| - d Phi)),
-    a convex function of Phi."""
+    a convex function of Phi.  That minimum cannot fall as theta grows,
+    so the floor at theta = 0 bounds the floor at every angle."""
     phi_hat = np.maximum(theta, d * y_norm / (a_min ** 2 + d ** 2))
     slack = np.maximum(0.0, y_norm - d * phi_hat)
     return np.hypot(a_min * phi_hat, slack)
@@ -228,30 +232,38 @@ def _certified_bounds(a, d, xs, ys, r=math.inf):
     order of numpy's 3-wide axis-1 sums, so the bounds equal those of the
     (n, 3) formulation bit for bit.
 
-    Rows whose residual floor sqrt((m0 + m1) + m2), m_i the smaller of
-    axis i's two squared residuals, exceeds r skip the eight candidates
-    and keep the straight-log minimum.  The gate is exact: every
-    candidate's s_i >= m_i and its cost sum is >= 0, and rounded addition
-    and sqrt are monotone, so every skipped candidate is > r.  Lower
-    bounds, (upper <= r) and every upper that is <= r are those of the
-    ungated bounds; at r = inf every row takes the candidates.
+    With a finite r each row stops at the cheapest bound that settles it
+    against r.  A row whose floor exceeds r is a miss: no path is priced
+    and its upper is inf, a valid bound.  Of the other rows, those whose
+    residual floor sqrt((m0 + m1) + m2), m_i the smaller of axis i's two
+    squared residuals, exceeds r skip the eight candidates and keep the
+    straight-log minimum.  That gate is exact: every candidate's s_i >=
+    m_i and its cost sum is >= 0, and rounded addition and sqrt are
+    monotone, so every skipped candidate is > r.  Lower bounds equal the
+    ungated ones, and so does every upper of a row whose ungated lower and
+    upper are both <= r; so the verdicts lower <= r and (lower <= r and
+    upper <= r) are those of the ungated bounds.  At r = inf every row
+    takes every path.
     """
     a = np.asarray(a, dtype=float)
     x, y = xs.T, ys.T
-    theta, axis_hat = angle_axis(np.stack(euler_quat(x[0], x[1], x[2]),
-                                          axis=1))
+    theta, axis_hat = angle_axis(euler_quat(x[0], x[1], x[2]))
     y_sq = [y[i] ** 2 for i in range(3)]
     y_norm = np.sqrt((y_sq[0] + y_sq[1]) + y_sq[2])
     lower = _speed_floor(float(np.min(a)), d, theta, y_norm)
-
     upper = np.full(xs.shape[0], np.inf)
+
+    live = ~(lower > r)
+    theta, axis_hat = theta[live], axis_hat[:, live]
+    x, y, y_sq = ([c[live] for c in v] for v in (x, y, y_sq))
+    best = np.full(theta.shape[0], np.inf)
     for branch in (theta, theta - FOUR_PI):
-        alpha = [branch * axis_hat[:, i] for i in range(3)]
+        alpha = [branch * axis_hat[i] for i in range(3)]
         rot = [(a[i] * alpha[i]) ** 2 for i in range(3)]
         beta = [(y[i] - d * alpha[i]) ** 2 for i in range(3)]
         cost = np.sqrt(((rot[0] + rot[1]) + rot[2])
                        + ((beta[0] + beta[1]) + beta[2]))
-        np.minimum(upper, cost, out=upper)
+        np.minimum(best, cost, out=best)
 
     drifted = [(y[i] - d * x[i]) ** 2 for i in range(3)]
     least = [np.minimum(y_sq[i], drifted[i]) for i in range(3)]
@@ -264,13 +276,14 @@ def _certified_bounds(a, d, xs, ys, r=math.inf):
         x_i = x[i][rows]
         choices.append(((_axis_word_cost(a, i, x_i), y_sq[i][rows]),
                         (np.abs(x_i) * a[i], drifted[i][rows])))
-    best = upper[rows]
+    priced = best[rows]
     for mask in range(8):
         (c0, s0), (c1, s1), (c2, s2) = (choices[i][(mask >> i) & 1]
                                         for i in range(3))
         cost = ((c0 + c1) + c2) + np.sqrt((s0 + s1) + s2)
-        np.minimum(best, cost, out=best)
-    upper[rows] = best
+        np.minimum(priced, cost, out=priced)
+    best[rows] = priced
+    upper[live] = best
     return lower, upper
 
 
@@ -551,11 +564,19 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     contains the ball, and p is the probability that a draw from S is
     accepted, lies in the ball and lies outside the box.  Each of the n
     draws is independent and succeeds with exactly that probability, so
-    the number of certain hits (certified upper bound <= r) and the number
-    of possible hits (speed floor <= r) are exactly binomial: their
-    Clopper-Pearson ends at 0.5% each give the lower and the upper bound,
-    for every n >= 1 and zero hits included.  Ambiguous samples only widen
-    the bracket.
+    the number of certain hits and the number of possible hits are
+    exactly binomial: their Clopper-Pearson ends at 0.5% each give the
+    lower and the upper bound, for every n >= 1 and zero hits included.
+    Ambiguous samples only widen the bracket.
+
+    Each draw is settled by the cheapest bound that decides it: first the
+    speed floor at rotation angle 0, which reads only the central
+    coordinates and is at most the floor at any angle, so a draw above r
+    is a miss before any rotation work (no angle inversion, chart or
+    angle-axis); then, with the draw's angle, the floor; and only then
+    the gated upper bounds of _certified_bounds.  A draw is a possible
+    hit when its floor is <= r, and a certain hit when it is possible and
+    its certified upper bound is <= r.
 
     Fallback mode: S = T = {rotation angle theta <= theta_m} x box, drawn
     uniformly in reference measure and accepted always.  A path of length
@@ -574,10 +595,10 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     outside the unenlarged hexagons raise the containment_ring_hits flag.
 
     Draws are taken CHUNK at a time, so the random stream does not depend
-    on how they are classified, and each chunk is classified in slices of
-    BLOCK rows; in fallback mode the draw keeps the raw uniforms, normals
-    and central coordinates, and each block turns its slice into chart
-    angles.
+    on how they are classified, and the draws of a chunk that the angle-0
+    floor leaves open are classified BLOCK rows at a time; in fallback
+    mode the draw keeps the raw uniforms, normals and central
+    coordinates, and only those open rows are turned into chart angles.
 
     Raises ValueError for r <= 0, for n < 1, and for a bracket that floats
     cannot hold, before the first draw when cert_mass + M(S) is already
@@ -620,8 +641,8 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
                          f"radius: core box mass {cert_mass}, superset mass "
                          f"{mass}")
 
-    # draw(take) consumes the generator for one chunk; points(raw, s)
-    # turns the slice s of it into (xs, ys, accepted)
+    # draw(take) consumes the generator for one chunk and returns (raw,
+    # ys, accepted); chart(raw, rows) turns the rows of raw into chart angles
     if hex_mode:
         mode = "hexagon"
         std, _ = containment_sets(inp, Side.OUTER)
@@ -630,38 +651,46 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
             xs, ys = _hex_product_sample(plus, take, rng)
             return xs, ys, rng.random(take) < np.abs(np.cos(xs[:, 1]))
 
-        def points(raw, s):
-            return tuple(v[s] for v in raw)
+        def chart(xs, rows):
+            return xs[rows]
     else:
         mode = "fallback"
 
         def draw(take):
-            return (rng.random(take), rng.standard_normal((take, 3)),
-                    rng.uniform(-half, half, (take, 3)))
+            u, axis, ys = (rng.random(take), rng.standard_normal((take, 3)),
+                           rng.uniform(-half, half, (take, 3)))
+            return (u, axis), ys, np.ones(take, bool)
 
-        def points(raw, s):
-            u, axis, ys = (v[s] for v in raw)
+        def chart(raw, rows):
+            u, axis = (v[rows] for v in raw)
             theta = _invert_theta_mass(u * mass_m)
             axis = axis * (np.sin(0.5 * theta)
                            / np.linalg.norm(axis, axis=1))[:, None]
             q = np.column_stack([np.cos(0.5 * theta), axis])
-            xs = np.stack(chart_angles(q), axis=1)
-            return xs, ys, np.ones(len(u), bool)
+            return np.stack(chart_angles(q), axis=1)
 
+    a_min = float(np.min(a))
     k_in = k_up = leak = 0
     for start in range(0, n, CHUNK):
         take = min(CHUNK, n - start)
-        raw = draw(take)
-        for lo in range(0, take, BLOCK):
-            xs, ys, keep = points(raw, slice(lo, lo + BLOCK))
+        raw, ys_all, accepted = draw(take)
+        # the floor at theta = 0 reads only |y| and is at most the floor at
+        # the draw's own angle: a row above r is a miss, settled before any
+        # rotation work
+        near = np.flatnonzero(accepted & (_speed_floor(
+            a_min, d, 0.0, np.linalg.norm(ys_all, axis=1)) <= r))
+        for lo in range(0, near.size, BLOCK):
+            rows = near[lo:lo + BLOCK]
+            xs, ys = chart(raw, rows), ys_all[rows]
             # box hits are already counted in cert_mass
-            keep = keep & ~(np.all(np.abs(xs) <= bx, axis=1)
-                            & np.all(np.abs(ys - d * xs) <= bu, axis=1))
-            xs, ys = xs[keep], ys[keep]
+            out = ~(np.all(np.abs(xs) <= bx, axis=1)
+                    & np.all(np.abs(ys - d * xs) <= bu, axis=1))
+            xs, ys = xs[out], ys[out]
             low, upper = _certified_bounds(a, d, xs, ys, r)
-            hit = upper <= r
+            possible = low <= r
+            hit = possible & (upper <= r)
             k_in += int(np.count_nonzero(hit))
-            k_up += int(np.count_nonzero(hit | (low <= r)))
+            k_up += int(np.count_nonzero(possible))
             if hex_mode:
                 leak += int(np.count_nonzero(~np.all(
                     [hexagon_contains(h, xs[hit, i], ys[hit, i])

@@ -5,6 +5,7 @@ hook so the verdicts survive output capture. Tolerances and runtime
 budgets are pinned constants here, not knobs.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -39,6 +40,14 @@ T_JACOBIAN = 10.0
 T_HEXAGON = 120.0
 T_BALL = 300.0
 T_SWEEP = 1800.0
+
+# SHA-256 of the criterion-6 bracket columns, one line per row of the
+# float.hex of these columns joined by spaces: a change that moves any
+# bracket updates the pin and says why
+SWEEP_BRACKET_COLUMNS = ("lower_r", "upper_r", "ambig_r",
+                         "lower_2r", "upper_2r", "ambig_2r")
+SWEEP_BRACKET_SHA256 = (
+    "e61b0855e82728bd13a7137ac9f7e21cc87c26d222e657d11882f372c7cff5b8")
 
 
 def _finish(number, name, ok, detail, elapsed=None):
@@ -244,10 +253,13 @@ def test_criterion_6_sweep():
            for row in rows if row["a1"] == row["a3"] and row["d"] == 0.0
            for s, k in (("r", 1.0), ("2r", 2.0))]
     n_miss = sum(1 for lo, hi, exact in iso if not lo <= exact <= hi)
+    brackets = hashlib.sha256("".join(
+        " ".join(float(row[c]).hex() for c in SWEEP_BRACKET_COLUMNS) + "\n"
+        for row in rows).encode()).hexdigest()
     elapsed = time.monotonic() - t0
     ok = (len(rows) == 700 and n_err == 0 and env_ok and vbar_ok
           and sup_ok and n_invalid == 0 and len(iso) == 50 and n_miss == 0
-          and elapsed < T_SWEEP)
+          and brackets == SWEEP_BRACKET_SHA256 and elapsed < T_SWEEP)
     _finish(6, "doubling sweep", ok,
             f"{len(rows)} cells, sandwich [{summary['c_emp']:.2e}, "
             f"{summary['C_emp']:.2e}], sup doubling "
@@ -256,7 +268,9 @@ def test_criterion_6_sweep():
             f"{DOUBLING_BOUND:g} in every cell, "
             f"{summary['low_confidence_cells']} low-confidence cells, "
             f"{n_invalid} cells with upper_2r < lower_r, {n_miss} of "
-            f"{len(iso)} isotropic brackets miss the quadrature value",
+            f"{len(iso)} isotropic brackets miss the quadrature value, "
+            f"bracket digest {brackets[:12]}"
+            f"{'' if brackets == SWEEP_BRACKET_SHA256 else ' (unpinned)'}",
             elapsed)
 
 

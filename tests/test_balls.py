@@ -24,8 +24,8 @@ from su2vol.frames import (ControlPath, PathSegment, chart_angles,
                            segment_product)
 from su2vol.metrics import MetricTensor, from_parameters, reduce_to_decoupled
 from su2vol.volumes import (
-    EstimatorInputs, Side, containment_sets, hexagon_area,
-    hexagon_area_truncated, m_rho, vbar_g,
+    C_OUTER, EstimatorInputs, Side, containment_sets, hexagon_area,
+    hexagon_area_truncated, linear_upper, m_rho, vbar_g,
 )
 from oracles import ball_volume_isotropic
 
@@ -72,7 +72,8 @@ def _bounds_8_masks(a, d, xs, ys):
     and reduces along axis 1."""
     a = np.asarray(a, dtype=float)
     x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2]
-    theta, axis_hat = angle_axis(np.stack(euler_quat(x1, x2, x3), axis=1))
+    theta, axis_hat = angle_axis(np.stack(euler_quat(x1, x2, x3)))
+    axis_hat = axis_hat.T
     y_norm = np.linalg.norm(ys, axis=1)
     lower = _speed_floor(float(np.min(a)), d, theta, y_norm)
 
@@ -752,6 +753,68 @@ def test_certified_bounds_gate_is_exact():
             npt.assert_array_equal(up[up_all <= r], up_all[up_all <= r])
             raised += np.count_nonzero(up > up_all)
     assert raised > 0
+
+
+def _mode_draws(rng, a, d, r, n, hexagon):
+    """n draws of ball_volume's superset at radius r, as (chart angles,
+    central coordinates): the enlarged outer hexagon product, or the
+    theta-ball of angle min(r / a1, 2 pi) times the linear_upper box."""
+    inp = EstimatorInputs(r, tuple(a), d, 0.1)
+    if hexagon:
+        plus, _ = containment_sets(inp, Side.OUTER, 1.25 * C_OUTER)
+        return balls._hex_product_sample(plus, n, rng)
+    theta = _invert_theta_mass(rng.random(n) * float(
+        _theta_mass(min(r / a[0], TWO_PI))))
+    axis = rng.normal(size=(n, 3))
+    axis *= (np.sin(0.5 * theta) / np.linalg.norm(axis, axis=1))[:, None]
+    xs = np.stack(chart_angles(np.column_stack([np.cos(0.5 * theta), axis])),
+                  axis=1)
+    half = linear_upper(inp)
+    return xs, rng.uniform(-half, half, (n, 3))
+
+
+def test_verdict_first_counts_match_ungated_rule():
+    # ball_volume settles each draw in order of cost: the speed floor at
+    # theta = 0, then the floor, then the gated candidates.  Row for row,
+    # its verdicts are possible = (lower <= r) and certain = possible and
+    # (upper <= r) of the ungated bounds, at radii equal to some rows'
+    # lowers and uppers.  The rule "certain = upper <= r, possible =
+    # certain or lower <= r" differs only on rows whose ungated bounds
+    # contradict each other, upper <= r < lower: at a = (1, 1, 1), d = 0
+    # both bounds are the one geodesic length, and the upper often rounds
+    # to an ulp or two below the lower
+    rng = np.random.default_rng(83)
+    settled = contradictions = 0
+    for a, r, hexagon in (((1.0, 1.0, 1.0), 0.05, True),
+                          ((0.1, 1.0, 10.0), 0.05, True),
+                          ((1.0, 1.0, 1.0), 0.5, False),
+                          ((0.01, 1.0, 100.0), 1.0, False)):
+        a = np.array(a)
+        for d in (0.0, 1.0, 1e4):
+            xs, ys = _mode_draws(rng, a, d, r, 3000, hexagon)
+            lo_all, up_all = _certified_bounds(a, d, xs, ys)
+            floor_0 = _speed_floor(a[0], d, 0.0, np.linalg.norm(ys, axis=1))
+            assert np.all(floor_0 <= lo_all)
+            radii = [r] + np.concatenate([
+                np.quantile(b, np.linspace(0.02, 0.98, 7), method="lower")
+                for b in (lo_all, up_all)]).tolist()
+            for rad in radii:
+                near = np.flatnonzero(floor_0 <= rad)
+                lo, up = _certified_bounds(a, d, xs[near], ys[near], rad)
+                possible = np.zeros(len(xs), bool)
+                certain = np.zeros(len(xs), bool)
+                possible[near] = lo <= rad
+                certain[near] = possible[near] & (up <= rad)
+                npt.assert_array_equal(possible, lo_all <= rad)
+                npt.assert_array_equal(certain,
+                                       (lo_all <= rad) & (up_all <= rad))
+                clash = (up_all <= rad) & (lo_all > rad)
+                npt.assert_array_equal(certain | clash, up_all <= rad)
+                npt.assert_array_equal(possible | clash,
+                                       (up_all <= rad) | (lo_all <= rad))
+                settled += len(xs) - near.size
+                contradictions += np.count_nonzero(clash)
+    assert settled > 0 and contradictions > 0
 
 
 def test_built_witnesses_never_exceed_vectorised_upper():
