@@ -19,8 +19,12 @@ any sample count; ambiguous samples only ever widen it.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -720,6 +724,7 @@ SWEEP_COLUMNS = (
 )
 _LOG_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 _D_GRID = (0.0, 1.0, 100.0, 10000.0)
+_CALC_BOUND = vbar_g_doubling_bound()
 
 
 def sweep_cells(triples, d_vals, r_vals):
@@ -769,81 +774,109 @@ def _mdd_empirical(a, d, r, eta, iota, seed):
     return float(np.max(upper) / r)
 
 
+def _pool_size(n_cells):
+    """Worker processes for a sweep of n_cells: one per CPU in this
+    process's affinity mask and at most one per cell; 1 where the platform
+    has no affinity mask or cannot fork."""
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_cells))
+
+
+def _sweep_row(idx, cell, samples, seed, eta, iota):
+    """One sweep cell as a row of SWEEP_COLUMNS; a cell that raises keeps
+    NaN columns and an ``error:`` flag."""
+    a = tuple(float(v) for v in cell["a"])
+    d = float(cell["d"])
+    r = float(cell["r"])
+    row = {"idx": idx, "a1": a[0], "a2": a[1], "a3": a[2], "d": d,
+           "r": r, "samples": samples}
+    flags = []
+    try:
+        m = from_parameters(a[0], a[1], a[2], d)
+        inp_r = EstimatorInputs(r, a, d, eta)
+        inp_2r = EstimatorInputs(2.0 * r, a, d, eta)
+        vb_r = vbar_g(inp_r)
+        vb_2r = vbar_g(inp_2r)
+        vol_r = ball_volume(m, r, samples, _seed_from(seed, idx, 0), eta)
+        vol_2r = ball_volume(m, 2.0 * r, samples,
+                             _seed_from(seed, idx, 1), eta)
+        flags.extend(f"r:{f}" for f in vol_r.flags)
+        flags.extend(f"2r:{f}" for f in vol_2r.flags)
+        if vol_r.lower > vol_r.upper or vol_2r.lower > vol_2r.upper:
+            raise RuntimeError("bracket inversion")
+        _, rho = m_rho(inp_r)
+        try:
+            wpath = word_upper_bound(m, 2, rho[2], r, eta)
+            mprime = path_length(m, wpath) / r
+        except OutOfRange:
+            mprime = float("nan")
+        wres = _word_spot_residual(m, r, eta)
+        mdd_emp = _mdd_empirical(a, d, r, eta, iota,
+                                 _seed_from(seed, idx, 2))
+        inner_hexes, _ = containment_sets(inp_r, Side.INNER)
+        inner_mass = float(np.prod(
+            [hexagon_area_truncated(h, iota) for h in inner_hexes]))
+        try:
+            outer_hexes, _ = containment_sets(inp_r, Side.OUTER)
+            outer_mass = float(np.prod(
+                [hexagon_area(h) for h in outer_hexes]))
+        except OutOfRegime:
+            outer_mass = float("nan")
+            flags.append("outer_regime_gate")
+        row.update({
+            "mode_r": vol_r.mode, "mode_2r": vol_2r.mode,
+            "vbar_r": vb_r, "vbar_2r": vb_2r,
+            "vbar_ratio": vb_2r / vb_r, "calc_bound": _CALC_BOUND,
+            "lower_r": vol_r.lower, "upper_r": vol_r.upper,
+            "ambig_r": vol_r.ambiguous_mass,
+            "lower_2r": vol_2r.lower, "upper_2r": vol_2r.upper,
+            "ambig_2r": vol_2r.ambiguous_mass,
+            "ratio_low_r": vol_r.lower / vb_r,
+            "ratio_high_r": vol_r.upper / vb_r,
+            "ratio_low_2r": vol_2r.lower / vb_2r,
+            "ratio_high_2r": vol_2r.upper / vb_2r,
+            "doubling_ratio": (vol_2r.upper / vol_r.lower
+                               if vol_r.lower > 0.0 else float("inf")),
+            "word_mprime": mprime, "word_residual": wres,
+            "mdd_emp": mdd_emp, "inner_mass": inner_mass,
+            "outer_mass": outer_mass,
+        })
+    except Exception as exc:
+        flags.append(f"error:{type(exc).__name__}")
+        for key in SWEEP_COLUMNS:
+            if key not in row:
+                row[key] = "" if key.startswith("mode_") else float("nan")
+    row["flags"] = ";".join(flags)
+    return row
+
+
 def sweep(grid, samples: int = 10000, seed: int = 0,
           eta: float = 0.1, iota: float = math.pi / 4):
     """Run the sandwich / doubling verification sweep over the cells of
     grid, such as default_sweep_grid().
 
-    Returns {"rows": [...], "summary": {...}}; each row is an ordered dict
-    of plain floats and strings so reports serialize deterministically.
-    Per-cell errors are recorded in the row's flags, never raised.
+    Returns {"rows": [...], "summary": {...}, "workers": n}; each row is an
+    ordered dict of plain floats and strings so reports serialize
+    deterministically.  Per-cell errors are recorded in the row's flags,
+    never raised.  Cells run on n forked processes, one per CPU in the
+    affinity mask (in this process when n is 1); each cell seeds its own
+    streams, so rows and summary do not depend on n.
     """
-    rows = []
-    calc_bound = vbar_g_doubling_bound()
-    for idx, cell in enumerate(grid):
-        a = tuple(float(v) for v in cell["a"])
-        d = float(cell["d"])
-        r = float(cell["r"])
-        row = {"idx": idx, "a1": a[0], "a2": a[1], "a3": a[2], "d": d,
-               "r": r, "samples": samples}
-        flags = []
-        try:
-            m = from_parameters(a[0], a[1], a[2], d)
-            inp_r = EstimatorInputs(r, a, d, eta)
-            inp_2r = EstimatorInputs(2.0 * r, a, d, eta)
-            vb_r = vbar_g(inp_r)
-            vb_2r = vbar_g(inp_2r)
-            vol_r = ball_volume(m, r, samples, _seed_from(seed, idx, 0), eta)
-            vol_2r = ball_volume(m, 2.0 * r, samples,
-                                 _seed_from(seed, idx, 1), eta)
-            flags.extend(f"r:{f}" for f in vol_r.flags)
-            flags.extend(f"2r:{f}" for f in vol_2r.flags)
-            if vol_r.lower > vol_r.upper or vol_2r.lower > vol_2r.upper:
-                raise RuntimeError("bracket inversion")
-            _, rho = m_rho(inp_r)
-            try:
-                wpath = word_upper_bound(m, 2, rho[2], r, eta)
-                mprime = path_length(m, wpath) / r
-            except OutOfRange:
-                mprime = float("nan")
-            wres = _word_spot_residual(m, r, eta)
-            mdd_emp = _mdd_empirical(a, d, r, eta, iota,
-                                     _seed_from(seed, idx, 2))
-            inner_hexes, _ = containment_sets(inp_r, Side.INNER)
-            inner_mass = float(np.prod(
-                [hexagon_area_truncated(h, iota) for h in inner_hexes]))
-            try:
-                outer_hexes, _ = containment_sets(inp_r, Side.OUTER)
-                outer_mass = float(np.prod(
-                    [hexagon_area(h) for h in outer_hexes]))
-            except OutOfRegime:
-                outer_mass = float("nan")
-                flags.append("outer_regime_gate")
-            row.update({
-                "mode_r": vol_r.mode, "mode_2r": vol_2r.mode,
-                "vbar_r": vb_r, "vbar_2r": vb_2r,
-                "vbar_ratio": vb_2r / vb_r, "calc_bound": calc_bound,
-                "lower_r": vol_r.lower, "upper_r": vol_r.upper,
-                "ambig_r": vol_r.ambiguous_mass,
-                "lower_2r": vol_2r.lower, "upper_2r": vol_2r.upper,
-                "ambig_2r": vol_2r.ambiguous_mass,
-                "ratio_low_r": vol_r.lower / vb_r,
-                "ratio_high_r": vol_r.upper / vb_r,
-                "ratio_low_2r": vol_2r.lower / vb_2r,
-                "ratio_high_2r": vol_2r.upper / vb_2r,
-                "doubling_ratio": (vol_2r.upper / vol_r.lower
-                                   if vol_r.lower > 0.0 else float("inf")),
-                "word_mprime": mprime, "word_residual": wres,
-                "mdd_emp": mdd_emp, "inner_mass": inner_mass,
-                "outer_mass": outer_mass,
-            })
-        except Exception as exc:
-            flags.append(f"error:{type(exc).__name__}")
-            for key in SWEEP_COLUMNS:
-                if key not in row:
-                    row[key] = "" if key.startswith("mode_") else float("nan")
-        row["flags"] = ";".join(flags)
-        rows.append(row)
+    grid = list(grid)
+    row_of = partial(_sweep_row, samples=samples, seed=seed, eta=eta,
+                     iota=iota)
+    workers = _pool_size(len(grid))
+    if workers == 1:
+        rows = list(map(row_of, range(len(grid)), grid))
+    else:
+        # fork, not spawn: children inherit the imported package instead
+        # of paying interpreter and numpy/scipy start-up again; su2vol
+        # starts no threads of its own that a fork could copy mid-state
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            rows = list(pool.map(row_of, range(len(grid)), grid))
     # the summary reads the cells that ran to the end
     ok = [row for row in rows if "error:" not in row["flags"]]
     ratio_low = [row[k] for row in ok for k in ("ratio_low_r", "ratio_low_2r")]
@@ -854,13 +887,13 @@ def sweep(grid, samples: int = 10000, seed: int = 0,
     c_emp = min(ratio_low) if ratio_low else float("nan")
     c_high = max(ratio_high) if ratio_high else float("nan")
     sup_doubling = max(doubling) if doubling else float("nan")
-    envelope_bound = (calc_bound * c_high / c_emp if c_emp and c_emp > 0.0
+    envelope_bound = (_CALC_BOUND * c_high / c_emp if c_emp and c_emp > 0.0
                       else float("inf"))
     summary = {
         "cells": len(rows), "samples": samples, "seed": seed,
         "eta": eta, "iota": iota,
         "c_emp": c_emp, "C_emp": c_high, "sup_doubling": sup_doubling,
-        "calc_bound": calc_bound, "envelope_bound": envelope_bound,
+        "calc_bound": _CALC_BOUND, "envelope_bound": envelope_bound,
         "doubling_ok": bool(sup_doubling <= envelope_bound),
         "containment_leak": any("containment_ring_hits" in row["flags"]
                                 for row in ok),
@@ -868,4 +901,4 @@ def sweep(grid, samples: int = 10000, seed: int = 0,
                                     for row in ok),
         "mdd_emp_max": max(mdd_vals) if mdd_vals else float("nan"),
     }
-    return {"rows": rows, "summary": summary}
+    return {"rows": rows, "summary": summary, "workers": workers}

@@ -436,7 +436,7 @@ def cmd_ball_volume(cfg):
 # -- sweep -------------------------------------------------------------------
 
 def cmd_sweep(cfg):
-    t0 = time.time()
+    t0 = time.monotonic()
     # with no grid key set, the sweep runs its default grid
     gridded = any(cfg[k] is not None for k in ("a_grid", "d_grid", "r_grid"))
     report = sweep(_grid_cells(cfg) if gridded else default_sweep_grid(),
@@ -456,7 +456,8 @@ def cmd_sweep(cfg):
                 "envelope_bound", "doubling_ok", "containment_leak",
                 "low_confidence_cells", "mdd_emp_max"):
         print(f"{key} = {_fmt(summary[key])}")
-    print(f"elapsed {time.time() - t0:.1f} s")
+    print(f"workers = {report['workers']}")
+    print(f"elapsed {time.monotonic() - t0:.1f} s")
     errors = [row for row in report["rows"] if "error:" in row["flags"]]
     if errors:
         print(f"{len(errors)} cells raised errors", file=sys.stderr)

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import types
@@ -27,6 +29,7 @@ from su2vol.volumes import (
     C_OUTER, EstimatorInputs, Side, containment_sets, hexagon_area,
     hexagon_area_truncated, linear_upper, m_rho, vbar_g,
 )
+from su2vol.cli import main as cli_main
 from oracles import ball_volume_isotropic
 
 WORD_TOL = 1e-10
@@ -681,6 +684,65 @@ def test_sweep_deterministic():
     o1 = sweep(grid, samples=2500, seed=9)
     o2 = sweep(grid, samples=2500, seed=9)
     assert o1 == o2
+
+
+def _fixed_pool_size(monkeypatch, n):
+    monkeypatch.setattr(balls, "_pool_size", lambda n_cells: n)
+
+
+def test_sweep_rows_do_not_depend_on_pool_size(monkeypatch, tmp_path):
+    grid = [{"a": (1.0, 1.0, 1.0), "d": 0.0, "r": 0.05},   # hexagon mode
+            {"a": (0.01, 1.0, 1.0), "d": 0.0, "r": 0.1},   # fallback mode
+            {"a": (1.0, 1.0, 1.0), "d": 0.0, "r": 0.5},    # outer regime gate
+            {"a": (2.0, 1.0, 0.5), "d": 0.0, "r": 0.1}]    # not ascending
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("a_grid=1.0\nd_grid=0.0\nr_grid=0.05,0.2,0.5\n"
+                   "samples=1500\nseed=23\nformat=json\n")
+    runs, reports = {}, {}
+    for n in (1, 2):
+        _fixed_pool_size(monkeypatch, n)
+        runs[n] = sweep(grid, samples=1500, seed=19)
+        assert runs[n]["workers"] == n
+        out = tmp_path / f"pool-{n}"
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        reports[n] = (rc, {f.name: f.read_bytes() for f in out.iterdir()})
+    rows = runs[1]["rows"]
+    assert [row["mode_r"] for row in rows[:2]] == ["hexagon", "fallback"]
+    assert "outer_regime_gate" not in rows[1]["flags"]
+    assert "outer_regime_gate" in rows[2]["flags"].split(";")
+    assert "error:InvalidParameters" in rows[3]["flags"]
+    # repr compares NaN columns too, which == on the dicts would not
+    assert repr(runs[2]["rows"]) == repr(rows)
+    assert repr(runs[2]["summary"]) == repr(runs[1]["summary"])
+    assert reports[1][0] == reports[2][0] == 0
+    assert sorted(reports[1][1]) == ["sweep_report.csv", "sweep_report.json",
+                                     "sweep_summary.json"]
+    assert reports[2][1] == reports[1][1]
+
+
+def test_sweep_leaves_no_child_process(monkeypatch):
+    affinity = len(os.sched_getaffinity(0))
+    assert balls._pool_size(1) == 1
+    assert balls._pool_size(10 ** 6) == affinity
+    assert balls._pool_size(0) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-cell sweep built a process pool")
+
+    # a one-cell sweep runs in this process
+    with monkeypatch.context() as patch:
+        patch.setattr(balls, "ProcessPoolExecutor", refuse)
+        one = sweep([{"a": (1.0, 1.0, 1.0), "d": 0.0, "r": 0.1}],
+                    samples=1000, seed=4)
+    assert one["workers"] == 1
+    # a pooled sweep with an error cell joins every child before returning
+    _fixed_pool_size(monkeypatch, 2)
+    out = sweep([{"a": (1.0, 1.0, 1.0), "d": 0.0, "r": 0.1},
+                 {"a": (2.0, 1.0, 0.5), "d": 0.0, "r": 0.1}],
+                samples=1000, seed=4)
+    assert out["workers"] == 2
+    assert "error:InvalidParameters" in out["rows"][1]["flags"]
+    assert multiprocessing.active_children() == []
 
 
 def test_default_grid_shape():
