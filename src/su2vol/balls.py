@@ -230,7 +230,8 @@ def _certified_bounds(a, d, xs, ys, r=math.inf):
     _axis_word_cost and no drift, and then close the central residual
     y - drift in a straight line.
 
-    The work is on per-axis columns: each axis's two (cost, squared
+    The work is on per-axis columns, xs.T and ys.T, so (n, 3) views of
+    (3, n) arrays are read without a copy: each axis's two (cost, squared
     residual) choices are computed once, and every candidate is
     (c0 + c1) + c2 + sqrt((s0 + s1) + s2).  That is the left-to-right
     order of numpy's 3-wide axis-1 sums, so the bounds equal those of the
@@ -257,9 +258,10 @@ def _certified_bounds(a, d, xs, ys, r=math.inf):
     lower = _speed_floor(float(np.min(a)), d, theta, y_norm)
     upper = np.full(xs.shape[0], np.inf)
 
-    live = ~(lower > r)
-    theta, axis_hat = theta[live], axis_hat[:, live]
-    x, y, y_sq = ([c[live] for c in v] for v in (x, y, y_sq))
+    live = np.flatnonzero(~(lower > r))
+    theta = theta[live]
+    axis_hat, x, y, y_sq = ([c[live] for c in v]
+                            for v in (axis_hat, x, y, y_sq))
     best = np.full(theta.shape[0], np.inf)
     for branch in (theta, theta - FOUR_PI):
         alpha = [branch * axis_hat[i] for i in range(3)]
@@ -271,7 +273,7 @@ def _certified_bounds(a, d, xs, ys, r=math.inf):
 
     drifted = [(y[i] - d * x[i]) ** 2 for i in range(3)]
     least = [np.minimum(y_sq[i], drifted[i]) for i in range(3)]
-    rows = ~(np.sqrt((least[0] + least[1]) + least[2]) > r)
+    rows = np.flatnonzero(~(np.sqrt((least[0] + least[1]) + least[2]) > r))
     # axis i's (rotation cost, squared central residual): the word and no
     # drift where bit i of the mask is clear, the direct turn and its
     # drift d nu_i where it is set
@@ -497,13 +499,30 @@ def _theta_mass(theta):
     """theta - sin theta, to full relative precision: below 0.25, where the
     difference cancels, by its Taylor series up to theta^13 (the first
     omitted term is below 1e-18 of the sum there).  8 pi times it is the
-    reference mass of the rotations of angle at most theta."""
+    reference mass of the rotations of angle at most theta.  Each element
+    takes only its own branch's work."""
     theta = np.asarray(theta, dtype=float)
+    small = theta < 0.25
+    if small.all():
+        return _theta_mass_series(theta)
+    if not small.any():
+        return theta - np.sin(theta)
+    # index takes: boolean masks and ufunc where= both measured slower
+    flat = theta.ravel()
+    out = np.empty_like(flat)
+    rows = np.flatnonzero(small)
+    out[rows] = _theta_mass_series(flat[rows])
+    rows = np.flatnonzero(~small)
+    big = flat[rows]
+    out[rows] = big - np.sin(big)
+    return out.reshape(theta.shape)
+
+
+def _theta_mass_series(theta):
     t2 = theta * theta
-    series = theta * t2 * (1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 * (
+    return theta * t2 * (1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 * (
         1.0 / 5040.0 - t2 * (1.0 / 362880.0 - t2 * (
             1.0 / 39916800.0 - t2 / 6227020800.0)))))
-    return np.where(theta < 0.25, series, theta - np.sin(theta))
 
 
 def _invert_theta_mass(c):
@@ -530,9 +549,18 @@ def _invert_theta_mass(c):
     return np.where(upper, TWO_PI - theta, theta)
 
 
+def _column_norm(c):
+    """Euclidean norm of the rows of three columns, summed in the order of
+    numpy's axis-1 norm of their (n, 3) stack, so equal to it bit for
+    bit."""
+    return np.sqrt((c[0] * c[0] + c[1] * c[1]) + c[2] * c[2])
+
+
 def _hex_product_sample(hexes, n, rng):
+    """n uniform points of the hexagon product as (xs, ys), each an (n, 3)
+    view of the (3, n) per-axis columns sample_hexagon returns."""
     xs, ys = zip(*(sample_hexagon(h, n, rng) for h in hexes))
-    return np.column_stack(xs), np.column_stack(ys)
+    return np.stack(xs).T, np.stack(ys).T
 
 
 def _core_box(a, r):
@@ -603,6 +631,9 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     floor leaves open are classified BLOCK rows at a time; in fallback
     mode the draw keeps the raw uniforms, normals and central
     coordinates, and only those open rows are turned into chart angles.
+    A draw stays in per-axis columns from the draw to the verdict, and
+    each stage (the angle-0 floor, the core box, the floor, the residual
+    gate, the containment check) compacts the columns once, by index.
 
     Raises ValueError for r <= 0, for n < 1, and for a bracket that floats
     cannot hold, before the first draw when cert_mass + M(S) is already
@@ -645,59 +676,65 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
                          f"radius: core box mass {cert_mass}, superset mass "
                          f"{mass}")
 
-    # draw(take) consumes the generator for one chunk and returns (raw,
-    # ys, accepted); chart(raw, rows) turns the rows of raw into chart angles
+    # draw(take) consumes the generator for one chunk and returns (raw, the
+    # central coordinates as three columns, accepted); chart(raw, rows)
+    # turns the rows of raw into the three chart-angle columns
     if hex_mode:
         mode = "hexagon"
         std, _ = containment_sets(inp, Side.OUTER)
 
         def draw(take):
             xs, ys = _hex_product_sample(plus, take, rng)
-            return xs, ys, rng.random(take) < np.abs(np.cos(xs[:, 1]))
+            return xs.T, ys.T, rng.random(take) < np.abs(np.cos(xs[:, 1]))
 
-        def chart(xs, rows):
-            return xs[rows]
+        def chart(x, rows):
+            return [c[rows] for c in x]
     else:
         mode = "fallback"
 
         def draw(take):
             u, axis, ys = (rng.random(take), rng.standard_normal((take, 3)),
                            rng.uniform(-half, half, (take, 3)))
-            return (u, axis), ys, np.ones(take, bool)
+            return (u, axis.T), ys.T, np.ones(take, bool)
 
         def chart(raw, rows):
-            u, axis = (v[rows] for v in raw)
-            theta = _invert_theta_mass(u * mass_m)
-            axis = axis * (np.sin(0.5 * theta)
-                           / np.linalg.norm(axis, axis=1))[:, None]
-            q = np.column_stack([np.cos(0.5 * theta), axis])
-            return np.stack(chart_angles(q), axis=1)
+            u, axis = raw
+            theta = _invert_theta_mass(u[rows] * mass_m)
+            g = [c[rows] for c in axis]
+            scale = np.sin(0.5 * theta) / _column_norm(g)
+            # chart_angles reads the quaternion along the last axis
+            return chart_angles(np.stack(
+                [np.cos(0.5 * theta)] + [c * scale for c in g]).T)
 
     a_min = float(np.min(a))
     k_in = k_up = leak = 0
     for start in range(0, n, CHUNK):
         take = min(CHUNK, n - start)
-        raw, ys_all, accepted = draw(take)
+        raw, y_all, accepted = draw(take)
         # the floor at theta = 0 reads only |y| and is at most the floor at
         # the draw's own angle: a row above r is a miss, settled before any
         # rotation work
         near = np.flatnonzero(accepted & (_speed_floor(
-            a_min, d, 0.0, np.linalg.norm(ys_all, axis=1)) <= r))
+            a_min, d, 0.0, _column_norm(y_all)) <= r))
         for lo in range(0, near.size, BLOCK):
             rows = near[lo:lo + BLOCK]
-            xs, ys = chart(raw, rows), ys_all[rows]
+            xs, ys = chart(raw, rows), [c[rows] for c in y_all]
             # box hits are already counted in cert_mass
-            out = ~(np.all(np.abs(xs) <= bx, axis=1)
-                    & np.all(np.abs(ys - d * xs) <= bu, axis=1))
-            xs, ys = xs[out], ys[out]
-            low, upper = _certified_bounds(a, d, xs, ys, r)
+            box = np.ones(rows.size, bool)
+            for i in range(3):
+                box &= ((np.abs(xs[i]) <= bx[i])
+                        & (np.abs(ys[i] - d * xs[i]) <= bu))
+            out = np.flatnonzero(~box)
+            xs, ys = (np.stack([c[out] for c in v]) for v in (xs, ys))
+            low, upper = _certified_bounds(a, d, xs.T, ys.T, r)
             possible = low <= r
             hit = possible & (upper <= r)
             k_in += int(np.count_nonzero(hit))
             k_up += int(np.count_nonzero(possible))
             if hex_mode:
+                got = np.flatnonzero(hit)
                 leak += int(np.count_nonzero(~np.all(
-                    [hexagon_contains(h, xs[hit, i], ys[hit, i])
+                    [hexagon_contains(h, xs[i, got], ys[i, got])
                      for i, h in enumerate(std)], axis=0)))
     if leak:
         flags.append("containment_ring_hits")

@@ -17,8 +17,8 @@ from su2vol.algebra import (
 )
 from su2vol.balls import (
     ALPHA, FOUR_PI, SQRT8, SWEEP_COLUMNS, TWO_PI, OutOfRange,
-    _certified_bounds, _clopper_pearson, _invert_theta_mass, _lambda_max,
-    _speed_floor, _theta_mass, ball_volume,
+    _certified_bounds, _clopper_pearson, _column_norm, _invert_theta_mass,
+    _lambda_max, _speed_floor, _theta_mass, ball_volume,
     distance_bracket, default_sweep_grid, sweep, word_upper_bound,
 )
 from su2vol.frames import (ControlPath, PathSegment, chart_angles,
@@ -975,6 +975,23 @@ def test_ball_brackets_pinned_across_block_boundaries(cell):
         assert (vb.mode, vb.flags) == _BLOCK_MODES[r]
 
 
+@pytest.mark.parametrize("block", [1000, 4097])
+def test_ball_brackets_do_not_depend_on_block_size(monkeypatch, block):
+    # BLOCK only cuts a chunk's open rows into classification blocks, so
+    # every row is classified exactly once whatever its size; CHUNK stays,
+    # as it fixes the random stream
+    cells = sorted(_BLOCK_PINS)
+    want = [ball_volume(from_parameters(*params), r, 40000, seed=3)
+            for params, r in cells]
+    monkeypatch.setattr(balls, "BLOCK", block)
+    for (params, r), vb in zip(cells, want):
+        got = ball_volume(from_parameters(*params), r, 40000, seed=3)
+        assert ([v.hex() for v in (got.lower, got.upper, got.ambiguous_mass)]
+                == [v.hex() for v in (vb.lower, vb.upper, vb.ambiguous_mass)])
+        assert (got.mode, got.flags) == (vb.mode, vb.flags)
+        assert (vb.mode, vb.flags) == _BLOCK_MODES[r]
+
+
 def test_distance_tiny_stretch_brackets_without_huge_words():
     # a word about the cheap axis would repeat ~1e79 (a1 = 1e-160) or
     # millions of times (a1 = 1e-12); such words are skipped and the
@@ -1089,6 +1106,44 @@ def _theta_mass_reference(theta):
     """theta - sin theta as the exactly summed sine series."""
     return math.fsum((-1) ** k * theta ** (2 * k + 3)
                      / math.factorial(2 * k + 3) for k in range(40))
+
+
+def test_column_norm_equals_numpy_row_norm():
+    # the classifier's column norms equal np.linalg.norm(axis=1) of the
+    # rows bit for bit, across scales and at overflow
+    rng = np.random.default_rng(97)
+    for scale in (1e-160, 1e-3, 1.0, 1e4, 1e152, 1e160):
+        rows = scale * rng.standard_normal((5000, 3))
+        rows[:7] = [[0.0, 0.0, 0.0], [-0.0, 1.0, -1.0], [3.0, 4.0, 12.0],
+                    [1e300, 1.0, 0.0], [np.inf, 0.0, 1.0],
+                    [0.0, -np.inf, 0.0], [5e-324, 0.0, 5e-324]]
+        with np.errstate(over="ignore", under="ignore"):
+            got, want = _column_norm(rows.T), np.linalg.norm(rows, axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_theta_mass_branches_match_elementwise_choice():
+    # each element takes only its own branch's work, yet every value equals
+    # the one np.where picks from both branches computed everywhere
+    def chosen(theta):
+        theta = np.asarray(theta, dtype=float)
+        t2 = theta * theta
+        series = theta * t2 * (1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 * (
+            1.0 / 5040.0 - t2 * (1.0 / 362880.0 - t2 * (
+                1.0 / 39916800.0 - t2 / 6227020800.0)))))
+        return np.where(theta < 0.25, series, theta - np.sin(theta))
+
+    rng = np.random.default_rng(89)
+    edges = [0.0, np.nextafter(0.25, 0.0), 0.25, TWO_PI]
+    cases = [rng.uniform(0.0, 0.25, 500), rng.uniform(0.25, TWO_PI, 500),
+             rng.uniform(0.0, TWO_PI, 1000), np.array(edges),
+             rng.uniform(0.0, 1.0, (40, 25)), np.empty(0)]
+    cases += edges + [0.1, 3.0, np.array(0.1), np.array(3.0)]
+    for theta in cases:
+        got, want = _theta_mass(theta), chosen(theta)
+        assert np.shape(got) == want.shape
+        assert np.asarray(got).dtype == np.float64
+        assert np.asarray(got).tobytes() == want.tobytes()
 
 
 def test_theta_inversion_reaches_rounding_floor():
