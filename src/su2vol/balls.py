@@ -19,12 +19,12 @@ any sample count; ambiguous samples only ever widen it.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -52,10 +52,9 @@ ALPHA = 0.01  # volume brackets hold at two-sided level 1 - ALPHA
 # longest word repetition a distance candidate may use; beyond it the axis
 # is only turned directly (a tiny stretch would need astronomically many)
 MAX_WORD_REPEATS = 1e4
-# ball_volume draws CHUNK samples per generator call, which fixes the random
-# stream, and classifies them in cache-sized BLOCKs
-CHUNK = 1 << 17
-BLOCK = 1 << 14
+# ball_volume draws and classifies its samples CHUNK at a time, each chunk
+# from its own seeded stream
+CHUNK = 1 << 14
 
 
 class OutOfRange(Exception):
@@ -626,14 +625,20 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     accepted when a uniform u < |cos x2|, the chart density.  Certain hits
     outside the unenlarged hexagons raise the containment_ring_hits flag.
 
-    Draws are taken CHUNK at a time, so the random stream does not depend
-    on how they are classified, and the draws of a chunk that the angle-0
-    floor leaves open are classified BLOCK rows at a time; in fallback
-    mode the draw keeps the raw uniforms, normals and central
-    coordinates, and only those open rows are turned into chart angles.
-    A draw stays in per-axis columns from the draw to the verdict, and
-    each stage (the angle-0 floor, the core box, the floor, the residual
-    gate, the containment check) compacts the columns once, by index.
+    The n draws fall into chunks of CHUNK, the last one shorter.  Chunk k
+    draws from its own stream, SeedSequence(seed) for k = 0 and
+    SeedSequence(seed, spawn_key=(k,)) after it, so a bracket with n <=
+    CHUNK reads one stream of seed, and no bracket depends on where its
+    chunks run.  Each chunk is drawn and classified in one pass and
+    returns its counts of certain hits, possible hits and containment
+    leaks; the chunks are split between this process and forked workers,
+    one per CPU in the affinity mask (see _fork_map), and their counts
+    summed.  In fallback mode the draw keeps the raw uniforms, normals
+    and central coordinates, and only the rows the angle-0 floor leaves
+    open are turned into chart angles.  A draw stays in per-axis columns
+    from the draw to the verdict, and each stage (the angle-0 floor, the
+    core box, the floor, the residual gate, the containment check)
+    compacts the columns once, by index.
 
     Raises ValueError for r <= 0, for n < 1, and for a bracket that floats
     cannot hold, before the first draw when cert_mass + M(S) is already
@@ -652,7 +657,6 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     inp = EstimatorInputs(r, tuple(a), d, eta)
     flags = []
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     plus = (containment_sets(inp, Side.OUTER, 1.25 * C_OUTER)[0]
             if r <= eta * a[1] else [])
     hex_mode = bool(plus) and max(h.x_half_width for h in plus) <= EXTENT_CAP
@@ -676,14 +680,14 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
                          f"radius: core box mass {cert_mass}, superset mass "
                          f"{mass}")
 
-    # draw(take) consumes the generator for one chunk and returns (raw, the
+    # draw(rng, take) consumes rng for one chunk and returns (raw, the
     # central coordinates as three columns, accepted); chart(raw, rows)
     # turns the rows of raw into the three chart-angle columns
     if hex_mode:
         mode = "hexagon"
         std, _ = containment_sets(inp, Side.OUTER)
 
-        def draw(take):
+        def draw(rng, take):
             xs, ys = _hex_product_sample(plus, take, rng)
             return xs.T, ys.T, rng.random(take) < np.abs(np.cos(xs[:, 1]))
 
@@ -692,7 +696,7 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     else:
         mode = "fallback"
 
-        def draw(take):
+        def draw(rng, take):
             u, axis, ys = (rng.random(take), rng.standard_normal((take, 3)),
                            rng.uniform(-half, half, (take, 3)))
             return (u, axis.T), ys.T, np.ones(take, bool)
@@ -707,35 +711,40 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
                 [np.cos(0.5 * theta)] + [c * scale for c in g]).T)
 
     a_min = float(np.min(a))
-    k_in = k_up = leak = 0
-    for start in range(0, n, CHUNK):
-        take = min(CHUNK, n - start)
-        raw, y_all, accepted = draw(take)
+
+    def counts(k):
+        """(certain hits, possible hits, containment leaks) of chunk k."""
+        rng = np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(k,) if k else ()))
+        raw, y_all, accepted = draw(rng, min(CHUNK, n - k * CHUNK))
         # the floor at theta = 0 reads only |y| and is at most the floor at
         # the draw's own angle: a row above r is a miss, settled before any
         # rotation work
-        near = np.flatnonzero(accepted & (_speed_floor(
+        rows = np.flatnonzero(accepted & (_speed_floor(
             a_min, d, 0.0, _column_norm(y_all)) <= r))
-        for lo in range(0, near.size, BLOCK):
-            rows = near[lo:lo + BLOCK]
-            xs, ys = chart(raw, rows), [c[rows] for c in y_all]
-            # box hits are already counted in cert_mass
-            box = np.ones(rows.size, bool)
-            for i in range(3):
-                box &= ((np.abs(xs[i]) <= bx[i])
-                        & (np.abs(ys[i] - d * xs[i]) <= bu))
-            out = np.flatnonzero(~box)
-            xs, ys = (np.stack([c[out] for c in v]) for v in (xs, ys))
-            low, upper = _certified_bounds(a, d, xs.T, ys.T, r)
-            possible = low <= r
-            hit = possible & (upper <= r)
-            k_in += int(np.count_nonzero(hit))
-            k_up += int(np.count_nonzero(possible))
-            if hex_mode:
-                got = np.flatnonzero(hit)
-                leak += int(np.count_nonzero(~np.all(
-                    [hexagon_contains(h, xs[i, got], ys[i, got])
-                     for i, h in enumerate(std)], axis=0)))
+        xs, ys = chart(raw, rows), [c[rows] for c in y_all]
+        # box hits are already counted in cert_mass
+        box = np.ones(rows.size, bool)
+        for i in range(3):
+            box &= ((np.abs(xs[i]) <= bx[i])
+                    & (np.abs(ys[i] - d * xs[i]) <= bu))
+        out = np.flatnonzero(~box)
+        xs, ys = (np.stack([c[out] for c in v]) for v in (xs, ys))
+        low, upper = _certified_bounds(a, d, xs.T, ys.T, r)
+        possible = low <= r
+        hit = possible & (upper <= r)
+        leak = 0
+        if hex_mode:
+            got = np.flatnonzero(hit)
+            leak = int(np.count_nonzero(~np.all(
+                [hexagon_contains(h, xs[i, got], ys[i, got])
+                 for i, h in enumerate(std)], axis=0)))
+        return (int(np.count_nonzero(hit)), int(np.count_nonzero(possible)),
+                leak)
+
+    chunks = range(-(-n // CHUNK))
+    k_in, k_up, leak = map(sum, zip(*_fork_map(counts, chunks,
+                                               _pool_size(len(chunks)))))
     if leak:
         flags.append("containment_ring_hits")
 
@@ -811,14 +820,95 @@ def _mdd_empirical(a, d, r, eta, iota, seed):
     return float(np.max(upper) / r)
 
 
-def _pool_size(n_cells):
-    """Worker processes for a sweep of n_cells: one per CPU in this
-    process's affinity mask and at most one per cell; 1 where the platform
-    has no affinity mask or cannot fork."""
-    if (not hasattr(os, "sched_getaffinity")
-            or "fork" not in multiprocessing.get_all_start_methods()):
+# set in a worker that _fork_map forked, right after the fork
+_forked = False
+
+
+def _pool_size(n_items):
+    """Processes to run n_items on: one per CPU in this process's affinity
+    mask and at most one per item; 1 inside a forked worker, while a
+    second thread is alive, and where the platform has no affinity mask or
+    cannot fork."""
+    if (_forked or threading.active_count() > 1
+            or not hasattr(os, "sched_getaffinity")
+            or not hasattr(os, "fork")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_cells))
+    return max(1, min(len(os.sched_getaffinity(0)), n_items))
+
+
+def _fork_map(fn, items, workers):
+    """[fn(item) for item in items], with items w::workers run in forked
+    child w, w = 1 .. workers - 1, and items 0::workers in this process.
+
+    fork, not spawn: a child inherits the imported package and fn's
+    closure instead of paying interpreter and numpy/scipy start-up again;
+    su2vol starts no threads of its own that a fork could copy mid-state.
+    Each child pickles ("ok", its results) or ("err", its exception) into
+    a pipe and leaves through os._exit.  Every pipe is read and every
+    child reaped before this returns or raises; if this process's own
+    share raises, the children are killed first.  A child's exception is
+    re-raised here, and a child that exits without a reply or with a
+    nonzero status raises ChildProcessError.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    out = [None] * len(items)
+    children = []
+    try:
+        for w in range(1, workers):
+            children.append(_fork_worker(fn, items[w::workers]))
+        out[0::workers] = [fn(item) for item in items[0::workers]]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        replies = []
+        for pid, fd in children:
+            with os.fdopen(fd, "rb") as pipe:
+                reply = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            replies.append((reply, status))
+    for w, (reply, status) in enumerate(replies, 1):
+        if status != 0 or not reply:
+            raise ChildProcessError(
+                f"forked worker {w} exited with status {status}")
+        kind, value = pickle.loads(reply)
+        if kind == "err":
+            raise value
+        out[w::workers] = value
+    return out
+
+
+def _fork_worker(fn, items):
+    """(pid, read end of its pipe) of a forked child that maps fn over
+    items and writes the pickled reply to the pipe."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    global _forked
+    _forked = True
+    status = 1
+    try:
+        os.close(read)
+        try:
+            reply = ("ok", [fn(item) for item in items])
+        except Exception as exc:
+            reply = ("err", exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(reply))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _sweep_row(idx, cell, samples, seed, eta, iota):
@@ -897,23 +987,14 @@ def sweep(grid, samples: int = 10000, seed: int = 0,
     Returns {"rows": [...], "summary": {...}, "workers": n}; each row is an
     ordered dict of plain floats and strings so reports serialize
     deterministically.  Per-cell errors are recorded in the row's flags,
-    never raised.  Cells run on n forked processes, one per CPU in the
-    affinity mask (in this process when n is 1); each cell seeds its own
+    never raised.  Cells are split between this process and n - 1 forked
+    workers, n = _pool_size(cells) (see _fork_map); each cell seeds its own
     streams, so rows and summary do not depend on n.
     """
     grid = list(grid)
-    row_of = partial(_sweep_row, samples=samples, seed=seed, eta=eta,
-                     iota=iota)
     workers = _pool_size(len(grid))
-    if workers == 1:
-        rows = list(map(row_of, range(len(grid)), grid))
-    else:
-        # fork, not spawn: children inherit the imported package instead
-        # of paying interpreter and numpy/scipy start-up again; su2vol
-        # starts no threads of its own that a fork could copy mid-state
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            rows = list(pool.map(row_of, range(len(grid)), grid))
+    rows = _fork_map(lambda cell: _sweep_row(*cell, samples, seed, eta, iota),
+                     enumerate(grid), workers)
     # the summary reads the cells that ran to the end
     ok = [row for row in rows if "error:" not in row["flags"]]
     ratio_low = [row[k] for row in ok for k in ("ratio_low_r", "ratio_low_2r")]

@@ -1,8 +1,9 @@
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import types
 import warnings
 
@@ -720,29 +721,96 @@ def test_sweep_rows_do_not_depend_on_pool_size(monkeypatch, tmp_path):
     assert reports[2][1] == reports[1][1]
 
 
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_leaves_no_child_process(monkeypatch):
     affinity = len(os.sched_getaffinity(0))
     assert balls._pool_size(1) == 1
     assert balls._pool_size(10 ** 6) == affinity
     assert balls._pool_size(0) == 1
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a one-cell sweep built a process pool")
+    def refuse():
+        raise AssertionError("a single chunk or cell forked a worker")
 
-    # a one-cell sweep runs in this process
+    # a one-chunk ball and a one-cell sweep run in this process
     with monkeypatch.context() as patch:
-        patch.setattr(balls, "ProcessPoolExecutor", refuse)
+        patch.setattr(os, "fork", refuse)
+        ball_volume(from_parameters(1.0, 1.0, 1.0, 0.0), 0.1, balls.CHUNK,
+                    seed=4)
         one = sweep([{"a": (1.0, 1.0, 1.0), "d": 0.0, "r": 0.1}],
                     samples=1000, seed=4)
     assert one["workers"] == 1
-    # a pooled sweep with an error cell joins every child before returning
+    # a pooled ball, and a pooled sweep with an error cell, reap every
+    # child before returning
     _fixed_pool_size(monkeypatch, 2)
+    ball_volume(from_parameters(1.0, 1.0, 1.0, 0.0), 0.1,
+                3 * balls.CHUNK, seed=4)
+    _assert_no_child_process()
     out = sweep([{"a": (1.0, 1.0, 1.0), "d": 0.0, "r": 0.1},
                  {"a": (2.0, 1.0, 0.5), "d": 0.0, "r": 0.1}],
                 samples=1000, seed=4)
     assert out["workers"] == 2
     assert "error:InvalidParameters" in out["rows"][1]["flags"]
-    assert multiprocessing.active_children() == []
+    _assert_no_child_process()
+
+
+class _ShareFailure(Exception):
+    pass
+
+
+def test_failing_share_is_reraised_and_leaves_no_child(monkeypatch):
+    parent = os.getpid()
+    bounds = balls._certified_bounds
+
+    def fails_in_worker(*args):
+        if os.getpid() != parent:
+            raise _ShareFailure("a chunk failed in a forked worker")
+        return bounds(*args)
+
+    # a chunk that raises in a child raises its type here
+    _fixed_pool_size(monkeypatch, 2)
+    monkeypatch.setattr(balls, "_certified_bounds", fails_in_worker)
+    with pytest.raises(_ShareFailure):
+        ball_volume(from_parameters(1.0, 1.0, 1.0, 0.0), 0.5,
+                    2 * balls.CHUNK, seed=1)
+    _assert_no_child_process()
+
+    # this process's own share raising kills the children, which would
+    # otherwise sleep for a minute, before the error propagates
+    def fails_here(item):
+        if item == 0:
+            raise _ShareFailure("this process's share failed")
+        time.sleep(60.0)
+
+    start = time.monotonic()
+    with pytest.raises(_ShareFailure):
+        balls._fork_map(fails_here, [0, 1, 2], 3)
+    assert time.monotonic() - start < 30.0
+    _assert_no_child_process()
+
+    # a child that exits without a reply is a ChildProcessError
+    with pytest.raises(ChildProcessError, match="status 3"):
+        balls._fork_map(lambda item: os._exit(3) if item else item,
+                        [0, 1], 2)
+    _assert_no_child_process()
+
+
+def test_pool_size_is_one_in_a_worker_and_beside_a_thread():
+    affinity = len(os.sched_getaffinity(0))
+    assert balls._fork_map(lambda item: balls._pool_size(10 ** 6),
+                           [0, 1], 2) == [affinity, 1]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert balls._pool_size(10 ** 6) == 1
+    finally:
+        release.set()
+        thread.join()
+    assert balls._pool_size(10 ** 6) == affinity
 
 
 def test_default_grid_shape():
@@ -926,39 +994,46 @@ def test_word_price_brackets_the_built_word():
 
 
 # (lower, upper, ambiguous_mass) as float.hex, mode and flags at seed 3,
-# for draw counts around the 2^14 classification block and the 2^17 chunk
+# for draw counts around the 2^14-draw chunk edge: n <= CHUNK reads chunk
+# 0's stream alone, the rows above it add the streams of chunks 1 to 12
 _BLOCK_PINS = {
     ((1.0, 1.0, 1.0, 0.0), 0.05): [
         (1, '0x1.22424075d2319p-35', '0x1.f150bf684873fp-19', '0x0.0p+0'),
         (16383, '0x1.35cb64e3eb5c4p-24', '0x1.95b2f29b58430p-24',
          '0x0.0p+0'),
-        (16385, '0x1.1efb80cdf5915p-24', '0x1.7ba23e73d894bp-24',
+        (16384, '0x1.34dd074c78dc7p-24', '0x1.94a27fe8254e9p-24',
          '0x0.0p+0'),
-        (131073, '0x1.52eaefaad3cd7p-24', '0x1.7495cb21e1c65p-24',
+        (16385, '0x1.35c1b447ce900p-24', '0x1.95a64b8ed831ap-24',
          '0x0.0p+0'),
-        (200000, '0x1.4e668882ca631p-24', '0x1.6958177a6951ap-24',
+        (32769, '0x1.45954e7247961p-24', '0x1.89714892854f9p-24',
+         '0x0.0p+0'),
+        (200000, '0x1.5d3b6b3d1d486p-24', '0x1.78bd8324fe61cp-24',
          '0x0.0p+0')],
     ((1.0, 1.0, 1.0, 0.0), 0.5): [
         (1, '0x1.5733b9d773a3dp-9', '0x1.08c4aef0fdf75p-1', '0x0.0p+0'),
         (16383, '0x1.45269c4752534p-4', '0x1.64975d5744236p-4',
          '0x0.0p+0'),
-        (16385, '0x1.3fa8816db6818p-4', '0x1.5ee31ca0e4f7ep-4',
+        (16384, '0x1.42982a20333a4p-4', '0x1.61efcbffe751ap-4',
          '0x0.0p+0'),
-        (131073, '0x1.4568fada64059p-4', '0x1.505dc389d75ebp-4',
+        (16385, '0x1.42931ad3b3136p-4', '0x1.61ea4b3529a37p-4',
          '0x0.0p+0'),
-        (200000, '0x1.46f0f8b732c2ap-4', '0x1.4fd05573029d6p-4',
+        (32769, '0x1.489ccafcf3ffdp-4', '0x1.5eca05d407f46p-4',
+         '0x0.0p+0'),
+        (200000, '0x1.47b319ad5c342p-4', '0x1.5094966ad8c33p-4',
          '0x0.0p+0')],
     ((1.0, 2.0, 3.0, 100.0), 1.0): [
         (1, '0x1.70a90eb88cec0p-12', '0x1.580dbd04169a4p+22',
          '0x1.580dbd03ba700p+22'),
         (16383, '0x1.70a90eb88cec0p-12', '0x1.403d162600b95p+22',
          '0x1.3e7430f16723bp+22'),
-        (16385, '0x1.70a90eb88cec0p-12', '0x1.40aafb4e3f603p+22',
-         '0x1.3ee5e0790ed0dp+22'),
-        (131073, '0x1.70a90eb88cec0p-12', '0x1.3ebc65ce58c76p+22',
-         '0x1.3e17e89e8f9e5p+22'),
-        (200000, '0x1.70a90eb88cec0p-12', '0x1.3ed1820718a10p+22',
-         '0x1.3e4cade255957p+22')],
+        (16384, '0x1.70a90eb88cec0p-12', '0x1.40de9465dc9eep+22',
+         '0x1.3f1b3dff253b4p+22'),
+        (16385, '0x1.70a90eb88cec0p-12', '0x1.40def161bcee6p+22',
+         '0x1.3f1ba1c7922bep+22'),
+        (32769, '0x1.70a90eb88cec0p-12', '0x1.4034ef466587ap+22',
+         '0x1.3ef31e983ba27p+22'),
+        (200000, '0x1.70a90eb88cec0p-12', '0x1.3ed340c7498e1p+22',
+         '0x1.3e4e70d79666dp+22')],
 }
 _BLOCK_MODES = {0.05: ("hexagon", ()), 0.5: ("fallback", ()),
                 1.0: ("fallback", ("low_confidence",))}
@@ -975,21 +1050,24 @@ def test_ball_brackets_pinned_across_block_boundaries(cell):
         assert (vb.mode, vb.flags) == _BLOCK_MODES[r]
 
 
-@pytest.mark.parametrize("block", [1000, 4097])
-def test_ball_brackets_do_not_depend_on_block_size(monkeypatch, block):
-    # BLOCK only cuts a chunk's open rows into classification blocks, so
-    # every row is classified exactly once whatever its size; CHUNK stays,
-    # as it fixes the random stream
-    cells = sorted(_BLOCK_PINS)
-    want = [ball_volume(from_parameters(*params), r, 40000, seed=3)
-            for params, r in cells]
-    monkeypatch.setattr(balls, "BLOCK", block)
-    for (params, r), vb in zip(cells, want):
-        got = ball_volume(from_parameters(*params), r, 40000, seed=3)
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ball_brackets_do_not_depend_on_worker_count(monkeypatch, workers):
+    # chunk k draws from its own stream in whichever process runs it, and
+    # every chunk is counted once
+    runs = {}
+    for n_workers in (1, workers):
+        _fixed_pool_size(monkeypatch, n_workers)
+        runs[n_workers] = [ball_volume(from_parameters(*params), r, n, seed=3)
+                           for params, r in sorted(_BLOCK_PINS)
+                           for n in (16385, 40000)]
+    for (params, r), got, want in zip(
+            [cell for cell in sorted(_BLOCK_PINS) for _ in range(2)],
+            runs[workers], runs[1]):
         assert ([v.hex() for v in (got.lower, got.upper, got.ambiguous_mass)]
-                == [v.hex() for v in (vb.lower, vb.upper, vb.ambiguous_mass)])
-        assert (got.mode, got.flags) == (vb.mode, vb.flags)
-        assert (vb.mode, vb.flags) == _BLOCK_MODES[r]
+                == [v.hex() for v in (want.lower, want.upper,
+                                      want.ambiguous_mass)])
+        assert (got.mode, got.flags) == (want.mode, want.flags)
+        assert (want.mode, want.flags) == _BLOCK_MODES[r]
 
 
 def test_distance_tiny_stretch_brackets_without_huge_words():
