@@ -19,6 +19,7 @@ any sample count; ambiguous samples only ever widen it.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -216,25 +217,23 @@ def _lambda_max(a, d):
     return math.sqrt(0.5 * (s + math.sqrt((s - 2.0 * a) * (s + 2.0 * a))))
 
 
-def _certified_bounds(a, d, xs, ys, r=math.inf):
+def _certified_bounds(a, d, x, y, r=math.inf):
     """(lower bound, upper bound) per sample.
 
-    xs are chart angles in the metric's own frame, each in [-2 pi, 2 pi]
-    and so its own minimal representative on the 4 pi circle; ys are
-    central coordinates in the orthonormal f-frame; both (n, 3).  The
-    lower bound is the speed floor.  The upper bound is the shortest of
-    ten path lengths: the two straight-log branches, and the eight
-    chart-ordered paths that turn each axis i by x_i either directly, at
-    cost a_i |x_i| with central drift d x_i, or by a balanced word of cost
-    _axis_word_cost and no drift, and then close the central residual
-    y - drift in a straight line.
+    x are chart angles in the metric's own frame, each in [-2 pi, 2 pi]
+    and so its own minimal representative on the 4 pi circle; y are
+    central coordinates in the orthonormal f-frame; both are three
+    columns (see frames).  The lower bound is the speed floor.  The upper
+    bound is the shortest of ten path lengths: the two straight-log
+    branches, and the eight chart-ordered paths that turn each axis i by
+    x_i either directly, at cost a_i |x_i| with central drift d x_i, or
+    by a balanced word of cost _axis_word_cost and no drift, and then
+    close the central residual y - drift in a straight line.
 
-    The work is on per-axis columns, xs.T and ys.T, so (n, 3) views of
-    (3, n) arrays are read without a copy: each axis's two (cost, squared
-    residual) choices are computed once, and every candidate is
-    (c0 + c1) + c2 + sqrt((s0 + s1) + s2).  That is the left-to-right
-    order of numpy's 3-wide axis-1 sums, so the bounds equal those of the
-    (n, 3) formulation bit for bit.
+    Each axis's two (cost, squared residual) choices are computed once,
+    and every candidate is (c0 + c1) + c2 + sqrt((s0 + s1) + s2).  That
+    is the left-to-right order of numpy's 3-wide axis-1 sums, so the
+    bounds equal those of the (n, 3) formulation bit for bit.
 
     With a finite r each row stops at the cheapest bound that settles it
     against r.  A row whose floor exceeds r is a miss: no path is priced
@@ -250,12 +249,11 @@ def _certified_bounds(a, d, xs, ys, r=math.inf):
     takes every path.
     """
     a = np.asarray(a, dtype=float)
-    x, y = xs.T, ys.T
-    theta, axis_hat = angle_axis(euler_quat(x[0], x[1], x[2]))
+    theta, axis_hat = angle_axis(euler_quat(*x))
     y_sq = [y[i] ** 2 for i in range(3)]
     y_norm = np.sqrt((y_sq[0] + y_sq[1]) + y_sq[2])
     lower = _speed_floor(float(np.min(a)), d, theta, y_norm)
-    upper = np.full(xs.shape[0], np.inf)
+    upper = np.full(theta.shape, np.inf)
 
     live = np.flatnonzero(~(lower > r))
     theta = theta[live]
@@ -556,10 +554,10 @@ def _column_norm(c):
 
 
 def _hex_product_sample(hexes, n, rng):
-    """n uniform points of the hexagon product as (xs, ys), each an (n, 3)
-    view of the (3, n) per-axis columns sample_hexagon returns."""
-    xs, ys = zip(*(sample_hexagon(h, n, rng) for h in hexes))
-    return np.stack(xs).T, np.stack(ys).T
+    """n uniform points of the hexagon product as (x, y), three columns
+    each: one (x, y) pair of columns from sample_hexagon per hexagon."""
+    x, y = zip(*(sample_hexagon(h, n, rng) for h in hexes))
+    return x, y
 
 
 def _core_box(a, r):
@@ -636,17 +634,21 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
     summed.  In fallback mode the draw keeps the raw uniforms, normals
     and central coordinates, and only the rows the angle-0 floor leaves
     open are turned into chart angles.  A draw stays in per-axis columns
-    from the draw to the verdict, and each stage (the angle-0 floor, the
-    core box, the floor, the residual gate, the containment check)
-    compacts the columns once, by index.
+    (the layout of frames) from the draw to the verdict, and each stage
+    (the angle-0 floor, the core box, the floor, the residual gate, the
+    containment check) compacts the columns once, by index.
 
-    Raises ValueError for r <= 0, for n < 1, and for a bracket that floats
-    cannot hold, before the first draw when cert_mass + M(S) is already
-    inf (at tilts d beyond about 1e104 the fallback box volume overflows,
-    at r beyond about 1e103 the core box does) or below the smallest
-    normal float (at a = (1, 1, 1) and d = 0 from r = 1e-52 down), where
-    the bracket would be subnormal or [0, 0].
+    Raises ValueError, naming the argument, for an n or a seed that is
+    not an integer, before any work; and for r <= 0, for n < 1, and for a
+    bracket that floats cannot hold, before the first draw when cert_mass
+    + M(S) is already inf (at tilts d beyond about 1e104 the fallback box
+    volume overflows, at r beyond about 1e103 the core box does) or below
+    the smallest normal float (at a = (1, 1, 1) and d = 0 from r = 1e-52
+    down), where the bracket would be subnormal or [0, 0].
     """
+    for name, value in (("n", n), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if n < 1:
@@ -688,8 +690,8 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
         std, _ = containment_sets(inp, Side.OUTER)
 
         def draw(rng, take):
-            xs, ys = _hex_product_sample(plus, take, rng)
-            return xs.T, ys.T, rng.random(take) < np.abs(np.cos(xs[:, 1]))
+            x, y = _hex_product_sample(plus, take, rng)
+            return x, y, rng.random(take) < np.abs(np.cos(x[1]))
 
         def chart(x, rows):
             return [c[rows] for c in x]
@@ -706,9 +708,7 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
             theta = _invert_theta_mass(u[rows] * mass_m)
             g = [c[rows] for c in axis]
             scale = np.sin(0.5 * theta) / _column_norm(g)
-            # chart_angles reads the quaternion along the last axis
-            return chart_angles(np.stack(
-                [np.cos(0.5 * theta)] + [c * scale for c in g]).T)
+            return chart_angles([np.cos(0.5 * theta)] + [c * scale for c in g])
 
     a_min = float(np.min(a))
 
@@ -722,22 +722,21 @@ def ball_volume(m: DecoupledMetric, r: float, n: int = 100000,
         # rotation work
         rows = np.flatnonzero(accepted & (_speed_floor(
             a_min, d, 0.0, _column_norm(y_all)) <= r))
-        xs, ys = chart(raw, rows), [c[rows] for c in y_all]
+        x, y = chart(raw, rows), [c[rows] for c in y_all]
         # box hits are already counted in cert_mass
         box = np.ones(rows.size, bool)
         for i in range(3):
-            box &= ((np.abs(xs[i]) <= bx[i])
-                    & (np.abs(ys[i] - d * xs[i]) <= bu))
+            box &= (np.abs(x[i]) <= bx[i]) & (np.abs(y[i] - d * x[i]) <= bu)
         out = np.flatnonzero(~box)
-        xs, ys = (np.stack([c[out] for c in v]) for v in (xs, ys))
-        low, upper = _certified_bounds(a, d, xs.T, ys.T, r)
+        x, y = ([c[out] for c in v] for v in (x, y))
+        low, upper = _certified_bounds(a, d, x, y, r)
         possible = low <= r
         hit = possible & (upper <= r)
         leak = 0
         if hex_mode:
             got = np.flatnonzero(hit)
             leak = int(np.count_nonzero(~np.all(
-                [hexagon_contains(h, xs[i, got], ys[i, got])
+                [hexagon_contains(h, x[i][got], y[i][got])
                  for i, h in enumerate(std)], axis=0)))
         return (int(np.count_nonzero(hit)), int(np.count_nonzero(possible)),
                 leak)
@@ -805,31 +804,33 @@ def _mdd_empirical(a, d, r, eta, iota, seed):
     inp = EstimatorInputs(r, tuple(a), d, eta)
     hexes, _ = containment_sets(inp, Side.INNER)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xs = np.empty((0, 3))
-    ys = np.empty((0, 3))
+    x = y = [np.empty(0)] * 3
     for _ in range(6):
         cx, cy = _hex_product_sample(hexes, 256, rng)
-        keep = np.all(np.abs(cx) <= iota, axis=1)
-        xs = np.vstack([xs, cx[keep]])
-        ys = np.vstack([ys, cy[keep]])
-        if xs.shape[0] >= 64:
+        keep = np.all([np.abs(c) <= iota for c in cx], axis=0)
+        x = [np.concatenate([c, new[keep]]) for c, new in zip(x, cx)]
+        y = [np.concatenate([c, new[keep]]) for c, new in zip(y, cy)]
+        if x[0].size >= 64:
             break
-    if xs.shape[0] == 0:
+    if x[0].size == 0:
         return float("nan")
-    _, upper = _certified_bounds(np.asarray(a, float), d, xs[:64], ys[:64])
+    _, upper = _certified_bounds(np.asarray(a, float), d,
+                                 [c[:64] for c in x], [c[:64] for c in y])
     return float(np.max(upper) / r)
 
 
-# set in a worker that _fork_map forked, right after the fork
-_forked = False
+# True while _fork_map runs a pool: in its caller, which sets it before
+# forking, and in every worker, which inherits it
+_in_pool = False
 
 
 def _pool_size(n_items):
     """Processes to run n_items on: one per CPU in this process's affinity
-    mask and at most one per item; 1 inside a forked worker, while a
-    second thread is alive, and where the platform has no affinity mask or
+    mask and at most one per item; 1 while a pool runs, in its caller's
+    own share as in its workers, so pools never nest; 1 while a second
+    thread is alive, and where the platform has no affinity mask or
     cannot fork."""
-    if (_forked or threading.active_count() > 1
+    if (_in_pool or threading.active_count() > 1
             or not hasattr(os, "sched_getaffinity")
             or not hasattr(os, "fork")):
         return 1
@@ -850,12 +851,14 @@ def _fork_map(fn, items, workers):
     re-raised here, and a child that exits without a reply or with a
     nonzero status raises ChildProcessError.
     """
+    global _in_pool
     items = list(items)
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     out = [None] * len(items)
     children = []
+    outer, _in_pool = _in_pool, True
     try:
         for w in range(1, workers):
             children.append(_fork_worker(fn, items[w::workers]))
@@ -865,6 +868,7 @@ def _fork_map(fn, items, workers):
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        _in_pool = outer
         replies = []
         for pid, fd in children:
             with os.fdopen(fd, "rb") as pipe:
@@ -895,8 +899,6 @@ def _fork_worker(fn, items):
     if pid:
         os.close(write)
         return pid, read
-    global _forked
-    _forked = True
     status = 1
     try:
         os.close(read)

@@ -10,6 +10,12 @@ element 8 times.
 Also here: the adjoint rotation formula, the closed-form commutator angle
 f(s, t) with its shift tau(s, t) and the 7-factor word realizing exp(f*u3),
 and a fixed-step integrator for the left logarithmic derivative ODE.
+
+Vectorised sample points travel as per-component columns: three 1-D
+arrays for chart angles or central coordinates, four for a quaternion
+(w, X, Y, Z), the sample index last.  euler_quat returns that layout,
+chart_angles and algebra.angle_axis read it, and a single point is the
+same rule with scalar components.
 """
 from __future__ import annotations
 
@@ -86,7 +92,7 @@ def euler_quat(x1, x2, x3):
 def chart_angles(q):
     """Chart angles (x1, x2, x3) with euler_quat(x1, x2, x3) == q.
 
-    q is a quaternion (w, X, Y, Z) along the last axis, vectorized.  With
+    q is a quaternion (w, X, Y, Z), four columns or one point.  With
     h_i = x_i / 2, euler_quat gives
         (w - Y, X + Z) = (cos h2 - sin h2) (cos, sin)(h1 + h3),
         (w + Y, X - Z) = (cos h2 + sin h2) (cos, sin)(h1 - h3),
@@ -97,7 +103,7 @@ def chart_angles(q):
     2 pi each keeps q; it puts x3 in (-pi, pi], and x1 is wrapped to its
     minimal representative.
     """
-    w, X, Y, Z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    w, X, Y, Z = q
     plus = np.arctan2(X + Z, w - Y)
     minus = np.arctan2(X - Z, w + Y)
     x2 = 2.0 * np.arctan2(np.hypot(w + Y, X - Z),

@@ -1,11 +1,12 @@
 """Left-invariant metrics on SU(2) x R^n and their decoupled normal form.
 
 A metric is a symmetric positive definite Gram matrix in the reference
-basis (three Pauli directions, then the Euclidean center).  Every such
-metric reduces, after lifting the center, to a decoupled one determined
-up to isometry by parameters (a1 <= a2 <= a3, d >= 0): an orthogonal
-basis v_i = u_i + d f_i with u_i a Milnor triple, f_i orthonormal central
-vectors, and a_i the length of v_i.
+basis (three Pauli directions, then the Euclidean center).  A decoupled
+metric has parameters (a1 <= a2 <= a3, d >= 0): an orthogonal basis
+v_i = u_i + d f_i with u_i a Milnor triple, f_i orthonormal central
+vectors, and a_i the length of v_i.  reduce_to_decoupled maps every
+metric to one; it is an isometry only where the coupling form is
+isotropic (see there).
 """
 from __future__ import annotations
 
@@ -181,8 +182,16 @@ def reduce_to_decoupled(g: MetricTensor) -> DecoupledMetric:
     (the Schur complement of the center), whose Milnor frame gives R and
     a.  Its coupling block holds the central parts of the g-orthogonal
     lifts v_i in an orthonormal center frame, so d is its largest
-    singular value.  The discarded complement of span{f_i} in the lifted
-    center is flat, so only the decoupled factor is returned.
+    singular value.
+
+    So the quotient metric Q = G_ss - K is kept exactly, a^2 its
+    eigenvalues, but the coupling form K = G_sz G_zz^-1 G_zs becomes
+    d^2 I, d^2 = lambda_max(K).  The result is isometric to the input
+    only where K = d^2 I, as for every from_parameters metric; never for
+    a center of dimension n < 3, where K has rank n (U(2)'s cover
+    SU(2) x R has n = 1).  Where K = d^2 I, the complement of span{f_i}
+    in the lifted center is flat, and only the decoupled factor is
+    returned.
     """
     _, L = _check_spd(g.gram)
     n = g.center_dim

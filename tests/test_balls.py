@@ -799,9 +799,10 @@ def test_failing_share_is_reraised_and_leaves_no_child(monkeypatch):
 
 
 def test_pool_size_is_one_in_a_worker_and_beside_a_thread():
+    # the caller's own share of a pool counts as inside it too
     affinity = len(os.sched_getaffinity(0))
     assert balls._fork_map(lambda item: balls._pool_size(10 ** 6),
-                           [0, 1], 2) == [affinity, 1]
+                           [0, 1], 2) == [1, 1]
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -811,6 +812,34 @@ def test_pool_size_is_one_in_a_worker_and_beside_a_thread():
         release.set()
         thread.join()
     assert balls._pool_size(10 ** 6) == affinity
+
+
+def test_sweep_forks_once_and_pools_never_nest(monkeypatch):
+    # on two CPUs a four-cell sweep at 40000 samples, three chunks per
+    # ball, forks only its one worker: the balls of the caller's own
+    # cells run in-process as the worker's do, and the rows are a serial
+    # run's
+    grid = [{"a": (1.0, 1.0, 1.0), "d": 0.0, "r": 0.05},   # hexagon mode
+            {"a": (0.01, 1.0, 1.0), "d": 0.0, "r": 0.1},   # fallback mode
+            {"a": (1.0, 1.0, 1.0), "d": 0.0, "r": 0.5},    # outer regime gate
+            {"a": (0.1, 1.0, 10.0), "d": 1.0, "r": 0.1}]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = sweep(grid, samples=40000, seed=5)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    pooled = sweep(grid, samples=40000, seed=5)
+    assert (serial["workers"], pooled["workers"]) == (1, 2)
+    assert len(forks) == 1
+    assert repr(pooled["rows"]) == repr(serial["rows"])
+    assert repr(pooled["summary"]) == repr(serial["summary"])
+    _assert_no_child_process()
 
 
 def test_default_grid_shape():
@@ -859,7 +888,7 @@ def test_certified_bounds_match_8_mask_formulation():
         d = (0.0, 1.0, 1e4)[trial % 3]
         xs, ys = _bounds_inputs(rng, 2000)
         want_lo, want_up = _bounds_8_masks(a, d, xs, ys)
-        got_lo, got_up = _certified_bounds(a, d, xs, ys)
+        got_lo, got_up = _certified_bounds(a, d, xs.T, ys.T)
         npt.assert_array_equal(got_lo, want_lo)
         npt.assert_array_equal(got_up, want_up)
     assert np.all(np.isfinite(got_up)) and np.all(got_lo <= got_up)
@@ -873,10 +902,11 @@ def test_certified_bounds_gate_is_exact():
     raised = 0
     for d in (0.0, 1.0, 1e4):
         xs, ys = _bounds_inputs(rng, 4000)
-        lo_all, up_all = _certified_bounds(a, d, xs, ys)
+        lo_all, up_all = _certified_bounds(a, d, xs.T, ys.T)
+        assert lo_all.shape == up_all.shape == (len(xs),)
         for r in np.quantile(up_all, np.linspace(0.01, 0.99, 25),
                              method="lower").tolist():
-            lo, up = _certified_bounds(a, d, xs, ys, r)
+            lo, up = _certified_bounds(a, d, xs.T, ys.T, r)
             npt.assert_array_equal(lo, lo_all)
             npt.assert_array_equal(up <= r, up_all <= r)
             assert np.all(up >= up_all)
@@ -887,20 +917,20 @@ def test_certified_bounds_gate_is_exact():
 
 def _mode_draws(rng, a, d, r, n, hexagon):
     """n draws of ball_volume's superset at radius r, as (chart angles,
-    central coordinates): the enlarged outer hexagon product, or the
-    theta-ball of angle min(r / a1, 2 pi) times the linear_upper box."""
+    central coordinates), each a (3, n) array of columns: the enlarged
+    outer hexagon product, or the theta-ball of angle min(r / a1, 2 pi)
+    times the linear_upper box."""
     inp = EstimatorInputs(r, tuple(a), d, 0.1)
     if hexagon:
         plus, _ = containment_sets(inp, Side.OUTER, 1.25 * C_OUTER)
-        return balls._hex_product_sample(plus, n, rng)
+        return tuple(map(np.array, balls._hex_product_sample(plus, n, rng)))
     theta = _invert_theta_mass(rng.random(n) * float(
         _theta_mass(min(r / a[0], TWO_PI))))
     axis = rng.normal(size=(n, 3))
     axis *= (np.sin(0.5 * theta) / np.linalg.norm(axis, axis=1))[:, None]
-    xs = np.stack(chart_angles(np.column_stack([np.cos(0.5 * theta), axis])),
-                  axis=1)
+    xs = np.array(chart_angles(np.vstack([np.cos(0.5 * theta), axis.T])))
     half = linear_upper(inp)
-    return xs, rng.uniform(-half, half, (n, 3))
+    return xs, rng.uniform(-half, half, (n, 3)).T
 
 
 def test_verdict_first_counts_match_ungated_rule():
@@ -923,16 +953,17 @@ def test_verdict_first_counts_match_ungated_rule():
         for d in (0.0, 1.0, 1e4):
             xs, ys = _mode_draws(rng, a, d, r, 3000, hexagon)
             lo_all, up_all = _certified_bounds(a, d, xs, ys)
-            floor_0 = _speed_floor(a[0], d, 0.0, np.linalg.norm(ys, axis=1))
+            floor_0 = _speed_floor(a[0], d, 0.0, np.linalg.norm(ys, axis=0))
             assert np.all(floor_0 <= lo_all)
             radii = [r] + np.concatenate([
                 np.quantile(b, np.linspace(0.02, 0.98, 7), method="lower")
                 for b in (lo_all, up_all)]).tolist()
             for rad in radii:
                 near = np.flatnonzero(floor_0 <= rad)
-                lo, up = _certified_bounds(a, d, xs[near], ys[near], rad)
-                possible = np.zeros(len(xs), bool)
-                certain = np.zeros(len(xs), bool)
+                lo, up = _certified_bounds(a, d, xs[:, near], ys[:, near],
+                                           rad)
+                possible = np.zeros(xs.shape[1], bool)
+                certain = np.zeros(xs.shape[1], bool)
                 possible[near] = lo <= rad
                 certain[near] = possible[near] & (up <= rad)
                 npt.assert_array_equal(possible, lo_all <= rad)
@@ -942,7 +973,7 @@ def test_verdict_first_counts_match_ungated_rule():
                 npt.assert_array_equal(certain | clash, up_all <= rad)
                 npt.assert_array_equal(possible | clash,
                                        (up_all <= rad) | (lo_all <= rad))
-                settled += len(xs) - near.size
+                settled += xs.shape[1] - near.size
                 contradictions += np.count_nonzero(clash)
     assert settled > 0 and contradictions > 0
 
@@ -964,7 +995,7 @@ def test_built_witnesses_never_exceed_vectorised_upper():
         # from_parameters uses the Pauli triple and the standard central
         # frame, so p has chart angles x and central coordinates y there
         p = GroupElement.from_quat(np.array(euler_quat(*x)), y)
-        _, upper = _certified_bounds(a, d, x[None, :], y[None, :])
+        _, upper = _certified_bounds(a, d, x[:, None], y[:, None])
         assert distance_bracket(m, p, budget=0).upper <= \
             upper[0] * (1.0 + 1e-12)
 
@@ -1108,6 +1139,24 @@ def test_ball_rejects_too_few_samples():
     for n in (0, -5):
         with pytest.raises(ValueError):
             ball_volume(m, 0.1, n)
+
+
+def test_ball_rejects_non_integer_count_or_seed(monkeypatch):
+    # a float count or seed is a ValueError naming it, raised before any
+    # work; numpy integers are integers
+    m = from_parameters(1.0, 1.0, 1.0, 0.0)
+    want = ball_volume(m, 0.1, 1000, seed=3)
+    assert ball_volume(m, 0.1, np.int64(1000), seed=np.int64(3)) == want
+
+    def worked(*args):
+        raise AssertionError("ball_volume worked before rejecting")
+
+    monkeypatch.setattr(balls, "canonicalize", worked)
+    for kwargs, name in (({"n": 2e5}, "n"), ({"n": 1e3}, "n"),
+                         ({"n": np.float64(1000.0)}, "n"),
+                         ({"seed": 1.5}, "seed"), ({"seed": 3.0}, "seed")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ball_volume(m, 0.1, **kwargs)
 
 
 def _rejects_before_drawing(monkeypatch, m, r, match=None):

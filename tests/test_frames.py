@@ -83,7 +83,7 @@ def test_chart_angles_round_trip_keeps_sign():
         rng.uniform(-TWO_PI, TWO_PI, eps.size), x2,
         rng.uniform(-math.pi, math.pi, eps.size)), axis=1)])
     assert np.any(q[:, 0] < 0.0) and np.any(q[:, 0] > 0.0)
-    x = np.stack(chart_angles(q), axis=1)
+    x = np.stack(chart_angles(q.T), axis=1)
     assert np.all((x > -TWO_PI) & (x <= TWO_PI))
     assert np.all(np.abs(x[:, 1:]) <= math.pi)
     npt.assert_allclose(np.stack(euler_quat(*x.T), axis=1), q, rtol=0.0,

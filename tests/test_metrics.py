@@ -109,6 +109,22 @@ def test_reduce_random_spd_invariants():
             assert back.d == pytest.approx(dec.d, abs=PARAM_TOL)
 
 
+def test_reduction_keeps_the_quotient_and_the_top_coupling_eigenvalue():
+    # Q = G_ss - K is kept exactly, and the coupling form
+    # K = G_sz G_zz^-1 G_zs is replaced by d^2 I with d^2 = lambda_max(K):
+    # an isometry only where K = d^2 I, never at n = 1, where K has rank 1
+    rng = np.random.default_rng(2028)
+    for n in (1, 3):
+        for _ in range(50):
+            g = _random_spd(3 + n, rng)
+            K = g[:3, 3:] @ np.linalg.solve(g[3:, 3:], g[3:, :3])
+            dec = reduce_to_decoupled(MetricTensor(g))
+            npt.assert_allclose(dec.a ** 2, np.linalg.eigvalsh(g[:3, :3] - K),
+                                rtol=1e-10)
+            npt.assert_allclose(dec.d ** 2, np.linalg.eigvalsh(K).max(),
+                                rtol=1e-10)
+
+
 def test_not_spd_raises():
     with pytest.raises(NotSPD):
         MetricTensor(np.diag([1.0, -1.0, 1.0]))
