@@ -205,6 +205,7 @@ def log_su2(g: GroupElement, with_flag: bool = False):
     q = g.q / math.sqrt(n2)
     w, v = q[0], q[1:]
     theta, axis = angle_axis(q)
+    axis = np.array(axis)
     ambiguous = False
     if np.linalg.norm(v) < 1e-12:
         if w > 0.0:
@@ -225,16 +226,16 @@ def angle_axis(q):
     along the first axis and vectorized over the rest, so four equal-shape
     columns are taken as they are: q = |q| (cos(theta/2), sin(theta/2)
     axis), theta in [0, 2 pi] the g0-norm of the rotation, and the axis
-    has the components along its first axis too.  The axis is e3 where the
-    vector part vanishes."""
+    three columns of q's shape.  The axis is e3 where the vector part
+    vanishes."""
     w, x, y, z = q
     s = np.sqrt((x * x + y * y) + z * z)
     # atan2 keeps full precision near both poles, unlike arccos(w)
     theta = 2.0 * np.arctan2(s, w)
     moves = s > 1e-30
     scale = np.where(moves, s, 1.0)
-    return theta, np.stack([np.where(moves, c / scale, e)
-                            for c, e in ((x, 0.0), (y, 0.0), (z, 1.0))])
+    return theta, tuple(np.where(moves, c / scale, e)
+                        for c, e in ((x, 0.0), (y, 0.0), (z, 1.0)))
 
 
 def g0_inner(a: AlgebraElement, b: AlgebraElement) -> float:

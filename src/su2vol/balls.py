@@ -18,6 +18,7 @@ any sample count; ambiguous samples only ever widen it.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 import os
@@ -56,6 +57,26 @@ MAX_WORD_REPEATS = 1e4
 # ball_volume draws and classifies its samples CHUNK at a time, each chunk
 # from its own seeded stream
 CHUNK = 1 << 14
+
+
+def _keep_heap():
+    """Keep freed memory in glibc's heap, once per process (forked workers
+    inherit it).  A chunk's arrays swing the heap top by 4-16 MiB; at the
+    default trim threshold free() handed that back after every chunk, and
+    the next chunk page-faulted it in again.  So the trim threshold goes to
+    64 MiB.  Setting it freezes glibc's adaptive mmap threshold, which would
+    then map each large array afresh, so that goes to its adaptive ceiling,
+    32 MiB.  A no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+_keep_heap()
 
 
 class OutOfRange(Exception):
@@ -307,6 +328,7 @@ def _log_branches(m, p):
     theta - 4 pi."""
     q, y_f = _frame_coordinates(m, p)
     theta, axis_hat = angle_axis(q)
+    axis_hat = np.array(axis_hat)
     branches = []
     for ang in (theta, theta - FOUR_PI):
         alpha = ang * axis_hat

@@ -14,8 +14,8 @@ and a fixed-step integrator for the left logarithmic derivative ODE.
 Vectorised sample points travel as per-component columns: three 1-D
 arrays for chart angles or central coordinates, four for a quaternion
 (w, X, Y, Z), the sample index last.  euler_quat returns that layout,
-chart_angles and algebra.angle_axis read it, and a single point is the
-same rule with scalar components.
+chart_angles and algebra.angle_axis read it, angle_axis returns its axis
+in it, and a single point is the same rule with scalar components.
 """
 from __future__ import annotations
 

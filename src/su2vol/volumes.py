@@ -229,31 +229,49 @@ def sample_hexagon(h: Hexagon, n: int, rng: np.random.Generator):
 
     y is drawn from the exact piecewise-affine density min(width, 4 pi),
     inverting the per-piece quadratic cumulative; x is uniform on the
-    cross-section arc.
+    cross-section arc.  The piece of each point is the one
+    rng.choice(len(pieces), size=n, p=masses / total) drew: the same
+    uniforms searched in the same normalised cdf, refused with the same
+    ValueError where a mass is negative or NaN or the total overflows, so
+    the stream and every point are those of that formulation.
     """
     pieces = [(a, b, min(wa, FOUR_PI), min(wb, FOUR_PI))
               for _, patch in _pieces(h) for a, b, wa, wb, _ in patch]
     if not pieces:
         raise InvalidHexagon("cannot sample a degenerate hexagon")
     starts, ends, f0, f1 = map(np.array, zip(*pieces))
-    masses = 0.5 * (f0 + f1) * (ends - starts)
-    total = float(np.sum(masses))
+    # masses that overflow or are NaN are refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lens = ends - starts
+        masses = 0.5 * (f0 + f1) * lens
+        total = float(np.sum(masses))
+        p = masses / total
     if total <= 0.0:
         raise InvalidHexagon("cannot sample a degenerate hexagon")
-    idx = rng.choice(len(pieces), size=n, p=masses / total)
-    u = rng.random(n) * masses[idx]
-    lens = (ends - starts)[idx]
-    slope = (f1[idx] - f0[idx]) / lens
-    base = f0[idx]
-    # solve base*t + slope*t^2/2 = u on [0, len]
-    lin = np.abs(slope) * lens < 1e-12 * np.maximum(base, 1e-300)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        disc = np.sqrt(np.clip(base**2 + 2.0 * slope * u, 0.0, None))
-        t_quad = np.where(slope >= 0.0,
-                          2.0 * u / (base + disc),
-                          (disc - base) / slope)
-        t = np.where(lin, u / np.maximum(base, 1e-300), t_quad)
-    y = starts[idx] + np.clip(t, 0.0, lens)
+    # what rng.choice(p=p) refused: a negative or NaN p, or an inf total
+    if not (math.isfinite(total) and np.all(p >= 0.0)):
+        raise ValueError(f"piece masses {masses} are not a distribution")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    pick, v = rng.random(n), rng.random(n)
+    y = np.empty(n)
+    # piece k takes the rows whose pick lies in [cdf[k - 1], cdf[k]), those
+    # cdf.searchsorted(pick, side="right") sends to k since cdf rises to 1;
+    # it solves base*t + slope*t^2/2 = u on [0, len] there
+    for k, (below, top) in enumerate(zip(np.r_[0.0, cdf[:-1]], cdf)):
+        rows = np.flatnonzero((below <= pick) & (pick < top))
+        base, length = f0[k], lens[k]
+        slope = (f1[k] - base) / length
+        u = v[rows] * masses[k]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if abs(slope) * length < 1e-12 * max(base, 1e-300):
+                t = u / max(base, 1e-300)
+            else:
+                disc = np.sqrt(np.clip(base * base + 2.0 * slope * u, 0.0,
+                                       None))
+                t = (2.0 * u / (base + disc) if slope >= 0.0
+                     else (disc - base) / slope)
+        y[rows] = starts[k] + np.clip(t, 0.0, length)
     lo, hi = section(h, y)
     w = np.minimum(hi - lo, FOUR_PI)
     x = lo + rng.random(n) * w

@@ -188,14 +188,17 @@ def test_reference_distance_resolves_small_rotations():
 def test_angle_axis_vectorized_with_identity_fallback():
     qs = np.stack([IDENTITY.q, exp_group(_alg([0.0, 0.0, -1.5])).q,
                    -IDENTITY.q])
-    # the components run along the first axis: one quaternion per column
+    # the components run along the first axis: one quaternion per column,
+    # and the axis comes back as three columns
     theta, axis = angle_axis(qs.T)
+    assert len(axis) == 3 and all(c.shape == (3,) for c in axis)
+    axis = np.array(axis)
     npt.assert_allclose(theta, [0.0, 1.5, 2.0 * math.pi], rtol=1e-15)
     npt.assert_array_equal(axis[:, 0], [0.0, 0.0, 1.0])
     npt.assert_allclose(axis[:, 1], [0.0, 0.0, -1.0], rtol=1e-15)
     one_theta, one_axis = angle_axis(qs[1])
     assert one_theta == theta[1]
-    npt.assert_array_equal(one_axis, axis[:, 1])
+    npt.assert_array_equal(np.array(one_axis), axis[:, 1])
 
 
 def test_g0_distance_between_matches_reference_chain():

@@ -275,6 +275,84 @@ def test_sampler_draw_pinned_on_crossing_shape():
         "-0x1.dd3df7e06b1ccp+1", "-0x1.279dcbcfb616bp+2"]
 
 
+def _sample_hexagon_choice(h, n, rng):
+    """sample_hexagon as written with rng.choice over the pieces and
+    per-point gathers of each piece's scalars: the reference whose stream,
+    points and refusals the sampler must reproduce."""
+    pieces = [(a, b, min(wa, FOUR_PI), min(wb, FOUR_PI))
+              for _, patch in _pieces(h) for a, b, wa, wb, _ in patch]
+    if not pieces:
+        raise InvalidHexagon("cannot sample a degenerate hexagon")
+    starts, ends, f0, f1 = map(np.array, zip(*pieces))
+    masses = 0.5 * (f0 + f1) * (ends - starts)
+    total = float(np.sum(masses))
+    if total <= 0.0:
+        raise InvalidHexagon("cannot sample a degenerate hexagon")
+    idx = rng.choice(len(pieces), size=n, p=masses / total)
+    u = rng.random(n) * masses[idx]
+    lens = (ends - starts)[idx]
+    slope = (f1[idx] - f0[idx]) / lens
+    base = f0[idx]
+    lin = np.abs(slope) * lens < 1e-12 * np.maximum(base, 1e-300)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        disc = np.sqrt(np.clip(base**2 + 2.0 * slope * u, 0.0, None))
+        t_quad = np.where(slope >= 0.0,
+                          2.0 * u / (base + disc),
+                          (disc - base) / slope)
+        t = np.where(lin, u / np.maximum(base, 1e-300), t_quad)
+    y = starts[idx] + np.clip(t, 0.0, lens)
+    lo, hi = section(h, y)
+    w = np.minimum(hi - lo, FOUR_PI)
+    x = lo + rng.random(n) * w
+    x = x - FOUR_PI * np.ceil(x / FOUR_PI - 0.5)
+    return x, y
+
+
+def test_sampler_matches_choice_reference():
+    rng = np.random.default_rng(2032)
+    m = 1000
+    mu, nu, xi = (np.exp(rng.uniform(math.log(1e-3), math.log(50.0), m))
+                  for _ in range(3))
+    d = np.where(rng.random(m) < 0.25, 0.0,
+                 np.exp(rng.uniform(math.log(1e-3), math.log(20.0), m)))
+    shapes = list(zip(mu, nu, xi, d)) + SHAPES + list(PINNED_AREAS)
+    seen = set()
+    for i, shape in enumerate(shapes):
+        h = Hexagon(*shape)
+        patches = [pieces for _, pieces in _pieces(h)]
+        kinds = {"one piece": sum(map(len, patches)) == 1,
+                 "saturated": any(p[4] for ps in patches for p in ps),
+                 "crossing": any(len(ps) == 2 for ps in patches)}
+        seen |= {kind for kind, present in kinds.items() if present}
+        for n in (1, 7, 1000, 16384):
+            gens = [np.random.default_rng([i, n]) for _ in range(2)]
+            got, want = (f(h, n, g) for f, g in
+                         zip((sample_hexagon, _sample_hexagon_choice), gens))
+            for a, b in zip(got, want):
+                # bit for bit, so float.hex for float.hex
+                if a.tobytes() != b.tobytes():
+                    k = int(np.flatnonzero(a.view(np.int64)
+                                           != b.view(np.int64))[0])
+                    pytest.fail(f"{shape} n={n} point {k}: "
+                                f"{a[k].hex()} != {b[k].hex()}")
+            # and the stream is left where the reference leaves it
+            assert gens[0].random() == gens[1].random()
+    assert seen == {"one piece", "saturated", "crossing"}
+
+
+@pytest.mark.parametrize("shape", [
+    (1e-6, 1e7, 1e8, 1e-9),     # two piece masses round below zero
+    (1.0, 1.0, 1e308, 0.0),     # an infinite mass: masses / total is NaN
+    (10.0, 1e307, 1e307, 1.0),  # finite masses whose total overflows
+])
+def test_sampler_refuses_what_choice_refuses(shape):
+    h = Hexagon(*shape)
+    for sampler in (sample_hexagon, _sample_hexagon_choice):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError):
+            sampler(h, 10, np.random.default_rng(0))
+
+
 def test_estimator_inputs_validation():
     with pytest.raises(ValueError):
         EstimatorInputs(0.1, (2.0, 1.0, 3.0), 0.0)
