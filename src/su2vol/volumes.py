@@ -31,12 +31,19 @@ class MalformedTree(Exception):
     pass
 
 
-class InvalidHexagon(Exception):
+class InvalidHexagon(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class Hexagon:
+    """The planar hexagon |x| <= mu* + nu*, |y - d x| <= xi* + d mu* (the
+    slant band), |y| <= d nu* + xi*.
+
+    Its parameters must be finite and nonnegative, and so must its x
+    extent mu* + nu*, which overflows where both are near the largest
+    float; otherwise InvalidHexagon, a ValueError, is raised.
+    """
     mu_star: float
     nu_star: float
     xi_star: float
@@ -44,8 +51,10 @@ class Hexagon:
 
     def __post_init__(self):
         vals = (self.mu_star, self.nu_star, self.xi_star, self.d)
-        if not all(np.isfinite(v) and v >= 0.0 for v in vals):
+        if not all(math.isfinite(v) and v >= 0.0 for v in vals):
             raise InvalidHexagon(f"need nonnegative finite parameters, got {vals}")
+        if not math.isfinite(self.x_half_width):
+            raise InvalidHexagon(f"x extent mu* + nu* overflows, got {vals}")
 
     @property
     def x_half_width(self) -> float:
@@ -178,7 +187,9 @@ def _pieces(h: Hexagon):
     out = []
     for (y0, y1, lo_c, lo_s, hi_c, hi_s) in _affine_patches(h):
         base, slope = hi_c - lo_c, hi_s - lo_s
-        w0, w1 = base + slope * y0, base + slope * y1
+        # the widths cancel on slanted hexagons with tiny d and large nu*,
+        # xi*, where they can round below 0
+        w0, w1 = max(base + slope * y0, 0.0), max(base + slope * y1, 0.0)
         if (w0 - FOUR_PI) * (w1 - FOUR_PI) < 0.0:
             yc = min(max((FOUR_PI - base) / slope, y0), y1)
             wc = base + slope * yc

@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import math
 import os
 import platform
@@ -617,6 +618,11 @@ def test_ball_rejects_bad_radius():
     m = from_parameters(1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         ball_volume(m, 0.0, 100)
+    # the outer containment hexagon's nu* overflows: its InvalidHexagon is
+    # a ValueError
+    m = from_parameters(3e-162, 1e154, 1e154, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        ball_volume(m, 1e153, 100)
 
 
 def test_inner_outer_consistency_single_cell():
@@ -687,6 +693,25 @@ def test_sweep_deterministic():
     o1 = sweep(grid, samples=2500, seed=9)
     o2 = sweep(grid, samples=2500, seed=9)
     assert o1 == o2
+
+
+# SHA-256 of every SWEEP_COLUMNS value (float.hex for floats), one line per
+# row joined by spaces, on the benchmark's 60-cell sweep grid at 2,000
+# samples and seed 7: the bracket pin of criterion 6 covers only the
+# bracket columns, this one also vbar, word_mprime, mdd_emp, the masses and
+# the flags
+SWEEP_60_SHA256 = (
+    "0420e7fc14155477df5b8afe24482f056351e25f630ef839caf14f5daf4a1eac")
+
+
+def test_sweep_every_column_is_pinned():
+    out = sweep(default_sweep_grid((0.1, 1.0, 10.0), (0.0, 100.0),
+                                   (0.01, 0.1, 1.0)), samples=2000, seed=7)
+    text = "".join(" ".join(v.hex() if isinstance(v, float) else str(v)
+                            for v in (row[c] for c in SWEEP_COLUMNS)) + "\n"
+                   for row in out["rows"])
+    assert len(out["rows"]) == 60
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_60_SHA256
 
 
 def _fixed_pool_size(monkeypatch, n):

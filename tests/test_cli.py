@@ -169,11 +169,14 @@ def test_ball_volume_single_cell(tmp_path):
 
 def test_ball_volume_rejected_values_exit_2(tmp_path, capsys):
     # a1 = 1e-300 is rejected by the metric, r = 1e200 and r = 1e-60 by
-    # ball_volume
+    # ball_volume, r = 1e153 at a = (3e-162, 1e154, 1e154) by its outer
+    # containment hexagon
     for text, cause in (("a1=1e-300\nr=0.1\nsamples=100\n",
                          "a_i^2 underflows"),
                         ("r=1e200\nsamples=100\n", "not finite"),
-                        ("r=1e-60\nsamples=100\n", "bracket underflows")):
+                        ("r=1e-60\nsamples=100\n", "bracket underflows"),
+                        ("a1=3e-162\na2=1e154\na3=1e154\nr=1e153\n"
+                         "samples=100\n", "nonnegative finite parameters")):
         cfg = _write(tmp_path / "b.cfg", text)
         with np.errstate(all="ignore"):
             rc = main(["ball-volume", "--config", cfg, "--out",

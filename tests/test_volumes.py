@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -340,17 +341,55 @@ def test_sampler_matches_choice_reference():
     assert seen == {"one piece", "saturated", "crossing"}
 
 
-@pytest.mark.parametrize("shape", [
-    (1e-6, 1e7, 1e8, 1e-9),     # two piece masses round below zero
-    (1.0, 1.0, 1e308, 0.0),     # an infinite mass: masses / total is NaN
-    (10.0, 1e307, 1e307, 1.0),  # finite masses whose total overflows
+@pytest.mark.parametrize("shape, refused", [
+    # end widths that cancel to -16.0 are clamped to 0, so it samples
+    pytest.param((1e-6, 1e7, 1e8, 1e-9), False, id="shape0"),
+    # an infinite mass: masses / total is NaN
+    pytest.param((1.0, 1.0, 1e308, 0.0), True, id="shape1"),
+    # finite masses whose total overflows
+    pytest.param((10.0, 1e307, 1e307, 1.0), True, id="shape2"),
 ])
-def test_sampler_refuses_what_choice_refuses(shape):
+def test_sampler_refuses_what_choice_refuses(shape, refused):
+    # both samplers read the same _pieces: both refuse with ValueError, or
+    # both draw the same finite points of the hexagon
     h = Hexagon(*shape)
-    for sampler in (sample_hexagon, _sample_hexagon_choice):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError):
-            sampler(h, 10, np.random.default_rng(0))
+    if refused:
+        for sampler in (sample_hexagon, _sample_hexagon_choice):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError):
+                sampler(h, 10, np.random.default_rng(0))
+        return
+    (x, y), (x_ref, y_ref) = (
+        sampler(h, 10, np.random.default_rng(0))
+        for sampler in (sample_hexagon, _sample_hexagon_choice))
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    assert np.all(hexagon_contains(h, x, y))
+    assert (x.tobytes(), y.tobytes()) == (x_ref.tobytes(), y_ref.tobytes())
+
+
+def test_hexagon_scan_refuses_overflowing_x_extent():
+    # each parameter in vals: the 49 shapes whose x extent mu* + nu*
+    # overflows are refused when built; of the others, 1,252 sample finite
+    # points and 1,100 are refused by the sampler
+    vals = (0.0, 1e-310, 1e-300, 1.0, 1e150, 1e300, 1.7e308)
+    overflowing = sampled = refused = 0
+    for shape in itertools.product(vals, repeat=4):
+        if math.isinf(shape[0] + shape[1]):
+            with pytest.raises(InvalidHexagon, match="x extent"):
+                Hexagon(*shape)
+            overflowing += 1
+            continue
+        h = Hexagon(*shape)
+        try:
+            with np.errstate(all="ignore"):
+                x, y = sample_hexagon(h, 16, np.random.default_rng(0))
+        except ValueError:
+            refused += 1
+            continue
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y)), shape
+        sampled += 1
+    assert (overflowing, sampled, refused) == (49, 1252, 1100)
+    assert issubclass(InvalidHexagon, ValueError)
 
 
 def test_estimator_inputs_validation():
